@@ -222,7 +222,7 @@ void run_policy_event_replay(benchmark::State& state,
 // Full engine loop: replay a synthetic trace whose coflows are all
 // concurrently active through the DynamicSimulator and report simulated
 // events/sec — the number the engine hot-path work (incremental snapshot,
-// completion heap) moves. Unlike the EventReplay benchmarks above, this
+// completion times, interval recording) moves. Unlike the EventReplay benchmarks above, this
 // includes the engine's own per-event cost, not just allocate().
 void run_engine_replay(benchmark::State& state, const std::string& name,
                        bool traced = false) {

@@ -2,17 +2,58 @@
 
 #include <cmath>
 #include <sstream>
+#include <utility>
 
 #include "common/check.h"
 #include "sched/scheduler.h"
 
 namespace ncdrf {
 
+Allocation::Allocation(const Allocation& other)
+    : present_(other.present_),
+      capacity_(other.capacity_),
+      num_flows_(other.num_flows_) {
+  if (capacity_ == 0) return;
+  rates_ = std::make_unique_for_overwrite<double[]>(capacity_);
+  other.for_each_set([&](std::size_t idx) { rates_[idx] = other.rates_[idx]; });
+}
+
+Allocation& Allocation::operator=(const Allocation& other) {
+  if (this != &other) *this = Allocation(other);
+  return *this;
+}
+
+Allocation::Allocation(Allocation&& other) noexcept
+    : rates_(std::move(other.rates_)),
+      present_(std::move(other.present_)),
+      capacity_(std::exchange(other.capacity_, 0)),
+      num_flows_(std::exchange(other.num_flows_, 0)) {
+  other.present_.clear();
+}
+
+Allocation& Allocation::operator=(Allocation&& other) noexcept {
+  if (this != &other) {
+    rates_ = std::move(other.rates_);
+    present_ = std::move(other.present_);
+    capacity_ = std::exchange(other.capacity_, 0);
+    num_flows_ = std::exchange(other.num_flows_, 0);
+    other.present_.clear();
+  }
+  return *this;
+}
+
+void Allocation::grow(std::size_t min_capacity) {
+  const std::size_t words = (min_capacity + 63) / 64;
+  auto rates = std::make_unique_for_overwrite<double[]>(words * 64);
+  for_each_set([&](std::size_t idx) { rates[idx] = rates_[idx]; });
+  rates_ = std::move(rates);
+  present_.resize(words, 0);
+  capacity_ = words * 64;
+}
+
 double Allocation::total_rate() const {
   double total = 0.0;
-  for (const double rate : rates_) {
-    if (rate != kAbsent) total += rate;
-  }
+  for_each_set([&](std::size_t idx) { total += rates_[idx]; });
   return total;
 }
 

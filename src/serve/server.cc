@@ -23,6 +23,15 @@ bool diverged(double pushed, double fresh, double threshold) {
   return std::abs(fresh - pushed) > threshold * scale;
 }
 
+// Time from a submission's stamp to `now`, floored at 0, for the latency
+// histograms and trace instants. A submission enqueued after the epoch
+// sampled `now` is admitted with now < submit_time; its latency reads 0
+// instead of aborting the histogram, while AdmitRecord and the causal
+// record keep the raw times.
+double elapsed(double now, double since) {
+  return std::max(0.0, now - since);
+}
+
 }  // namespace
 
 ServeFront::ServeFront(const Fabric& fabric, Scheduler& scheduler,
@@ -157,12 +166,14 @@ int ServeFront::admit_batch(double now) {
     ++admitted_;
     if (admitted_counter_ != nullptr) admitted_counter_->inc();
     if (admit_latency_ != nullptr) {
-      admit_latency_->observe(now - s.submit_time);
+      admit_latency_->observe(elapsed(now, s.submit_time));
     }
-    if (stage_queue_ != nullptr) stage_queue_->observe(now - s.submit_time);
+    if (stage_queue_ != nullptr) {
+      stage_queue_->observe(elapsed(now, s.submit_time));
+    }
     NCDRF_TRACE_INSTANT(options_.tracer, obs::EventKind::kServeAdmit, now,
                         s.coflow, static_cast<std::int64_t>(s.trace_id),
-                        now - s.submit_time);
+                        elapsed(now, s.submit_time));
     if (admit_hook) {
       double bits = 0.0;
       for (const Flow& f : s.flows) bits += f.size_bits;
@@ -208,7 +219,7 @@ void ServeFront::reallocate(double now) {
   if (alloc_hook) alloc_hook(now, *last_view_, alloc_);
   if (alloc_latency_ != nullptr) {
     for (const Submission& s : batch_) {
-      alloc_latency_->observe(now - s.submit_time);
+      alloc_latency_->observe(elapsed(now, s.submit_time));
     }
   }
   // Every coflow admitted since the last allocation is covered by this
@@ -282,7 +293,7 @@ void ServeFront::push_rates(double now) {
       const auto it = awaiting_push_.find(flow);
       if (it != awaiting_push_.end()) {
         if (push_latency_ != nullptr) {
-          push_latency_->observe(now - it->second.submit);
+          push_latency_->observe(elapsed(now, it->second.submit));
         }
         // First push covering any flow of the coflow closes its causal
         // span: the submission's rates are now at an enforcement point.
@@ -292,12 +303,14 @@ void ServeFront::push_rates(double now) {
           if (stage_push_ != nullptr && c.alloc >= 0.0) {
             stage_push_->observe(now - c.alloc);
           }
-          if (stage_total_ != nullptr) stage_total_->observe(now - c.submit);
+          if (stage_total_ != nullptr) {
+            stage_total_->observe(elapsed(now, c.submit));
+          }
           NCDRF_TRACE_INSTANT(options_.tracer,
                               obs::EventKind::kServeFirstPush, now,
                               it->second.coflow,
                               static_cast<std::int64_t>(c.trace_id),
-                              now - c.submit);
+                              elapsed(now, c.submit));
           causal_.erase(causal);
         }
         awaiting_push_.erase(it);

@@ -51,28 +51,15 @@ struct DynamicSimulator::Impl {
     }
   };
 
-  // One candidate flow-completion event: `time` is the absolute finish
-  // time the flow had when its rate was last set. Entries are never
-  // removed in place — they go stale when the flow's rate changes or the
-  // flow finishes (lazy invalidation: an entry is live iff it equals
-  // finish_time_of[flow]).
-  struct FinishEvent {
-    double time;
-    FlowId flow;
-  };
-  struct FinishLater {
-    bool operator()(const FinishEvent& a, const FinishEvent& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.flow > b.flow;
-    }
-  };
-
   Impl(const Fabric& fabric_in, Scheduler& scheduler_in, SimOptions opts)
       : fabric(fabric_in), scheduler(scheduler_in), options(opts) {
     NCDRF_CHECK(options.completion_epsilon_bits > 0.0,
                 "completion epsilon must be positive");
     input.fabric = &fabric;
     input.reconcile = options.reconcile;
+    const auto links = static_cast<std::size_t>(fabric.num_links());
+    scratch_link_alloc.assign(links, 0.0);
+    scratch_live.assign(links, 0);
     if (options.metrics != nullptr) {
       // Instruments are looked up once; per-event cost is an increment.
       m_arrivals = &options.metrics->counter("sim.coflow_arrivals");
@@ -111,14 +98,13 @@ struct DynamicSimulator::Impl {
   // during run() only (take_result re-sorts the records).
   std::unordered_map<CoflowId, std::size_t> record_index;
 
-  // Next-completion min-heap with lazy invalidation. last_rate / finish_at
-  // are indexed by FlowId alongside `remaining`; a heap entry is live iff
-  // its time equals finish_at[flow]. While a flow's rate is unchanged its
-  // absolute finish time is invariant, so steady flows cost nothing per
-  // event — only flows whose rate changed pay an O(log n) push.
-  std::priority_queue<FinishEvent, std::vector<FinishEvent>, FinishLater>
-      completions;
-  std::vector<double> last_rate;  // rate the heap entry was computed with
+  // Canonical completion times, indexed by FlowId alongside `remaining`.
+  // finish_at is the absolute finish time computed when the flow's rate
+  // last changed; while the rate stays put it is invariant, so it is kept
+  // rather than recomputed from the shrinking remainder (recomputing would
+  // drift event times by ulps). The next completion is the minimum over
+  // the live flows, taken in the clamp pass that visits them anyway.
+  std::vector<double> last_rate;  // rate finish_at was computed with
   std::vector<double> finish_at;  // canonical finish time; inf = no event
   std::size_t unfinished_flows = 0;
 
@@ -129,12 +115,14 @@ struct DynamicSimulator::Impl {
   obs::Counter* m_allocations = nullptr;
   obs::Histogram* m_utilization = nullptr;
 
-  // Scratch buffers for progress_of and clamp_and_update_completions
-  // (hoisted out of the per-call path).
+  // Scratch buffers for progress_of and clamp_and_next_completion
+  // (hoisted out of the per-call path). scratch_link_alloc / scratch_live
+  // are zero outside the links listed in scratch_touched.
   std::vector<double> scratch_link_alloc;
   std::vector<char> scratch_live;
+  std::vector<std::size_t> scratch_touched;
   std::vector<double> scratch_clamp;
-  std::vector<std::pair<FlowId, double>> scratch_changed;
+  std::vector<std::pair<std::size_t, double>> scratch_changed;
 
   double& remaining_of(const Flow& f) {
     return remaining[static_cast<std::size_t>(f.id)];
@@ -278,72 +266,79 @@ struct DynamicSimulator::Impl {
   }
 
   // Progress of one active coflow (Eq. 1) against its original
-  // correlation, over links it still has data on.
+  // correlation, over the links its live flows touch. Leaves the coflow's
+  // per-link aggregate in scratch_link_alloc (zero on untouched links)
+  // until the next call.
   double progress_of(const ActiveEntry& entry, const Allocation& alloc) {
-    scratch_link_alloc.assign(static_cast<std::size_t>(fabric.num_links()),
-                              0.0);
-    scratch_live.assign(static_cast<std::size_t>(fabric.num_links()), 0);
+    for (const std::size_t link : scratch_touched) {
+      scratch_link_alloc[link] = 0.0;
+      scratch_live[link] = 0;
+    }
+    scratch_touched.clear();
+    const auto touch = [&](std::size_t link, double r) {
+      scratch_link_alloc[link] += r;
+      if (!scratch_live[link]) {
+        scratch_live[link] = 1;
+        scratch_touched.push_back(link);
+      }
+    };
     for (const Flow* f : entry.unfinished) {
-      const auto up = static_cast<std::size_t>(fabric.uplink(f->src));
-      const auto down = static_cast<std::size_t>(fabric.downlink(f->dst));
       const double r = alloc.rate(f->id);
-      scratch_link_alloc[up] += r;
-      scratch_link_alloc[down] += r;
-      scratch_live[up] = 1;
-      scratch_live[down] = 1;
+      touch(static_cast<std::size_t>(fabric.uplink(f->src)), r);
+      touch(static_cast<std::size_t>(fabric.downlink(f->dst)), r);
     }
     double progress = kInfinity;
-    for (std::size_t i = 0; i < scratch_link_alloc.size(); ++i) {
-      if (scratch_live[i] && entry.correlation[i] > 0.0) {
-        progress =
-            std::min(progress, scratch_link_alloc[i] / entry.correlation[i]);
+    for (const std::size_t link : scratch_touched) {
+      if (entry.correlation[link] > 0.0) {
+        progress = std::min(progress,
+                            scratch_link_alloc[link] / entry.correlation[link]);
       }
     }
     return std::isfinite(progress) ? progress : 0.0;
   }
 
-  // Folds one flow's (possibly new) rate into the completion heap: flows
-  // whose rate is unchanged keep their live entry (absolute finish time is
-  // invariant under a constant rate); changed flows get a fresh canonical
-  // entry.
-  void update_flow_completion(FlowId flow, double r) {
-    const auto idx = static_cast<std::size_t>(flow);
-    if (r == last_rate[idx] && (r <= 0.0 || finish_at[idx] < kInfinity)) {
-      return;
-    }
-    last_rate[idx] = r;
-    if (r > 0.0) {
-      const double t = now + remaining[idx] / r;
-      finish_at[idx] = t;
-      completions.push(FinishEvent{t, flow});
-    } else {
-      finish_at[idx] = kInfinity;
-    }
+  // True when a flow's canonical finish time still holds at rate r: the
+  // rate is unchanged, and a positive rate already has a finite time.
+  bool finish_current(std::size_t idx, double r) const {
+    return r == last_rate[idx] && (r <= 0.0 || finish_at[idx] < kInfinity);
   }
 
-  // One pass over the active flows doing the work of clamp_to_capacity's
-  // usage accumulation AND the completion-heap refresh — the two dominant
-  // per-event O(flows) scans share their loads. Because clamping may still
-  // rescale the rates, the shared pass only *collects* the flows whose
-  // rate changed; heap entries are pushed after the feasibility check, from
-  // the (usually short) changed list on the feasible path or from the
-  // rescale pass otherwise. Pushing pre-clamp rates up front would flood
-  // the heap with stale entries whenever a link overshoots by ulps — which
-  // the DRF stage does routinely, since it saturates the bottleneck
-  // exactly.
-  void clamp_and_update_completions(Allocation& alloc) {
+  // Brings one flow's canonical finish time up to date with its final rate
+  // and returns it.
+  double update_finish(std::size_t idx, double r) {
+    if (!finish_current(idx, r)) {
+      last_rate[idx] = r;
+      finish_at[idx] = r > 0.0 ? now + remaining[idx] / r : kInfinity;
+    }
+    return finish_at[idx];
+  }
+
+  // One pass over the live flows doing the work of clamp_to_capacity's
+  // usage accumulation AND the completion refresh; returns the earliest
+  // completion time (the minimum of the live flows' finish_at). Because
+  // clamping may still rescale the rates, the shared pass only *collects*
+  // the flows whose rate changed; their finish times are updated after
+  // the feasibility check, from the (usually short) changed list on the
+  // feasible path or in the rescale pass otherwise. Either way each flow
+  // is compared once, final rate against the rate its finish time was
+  // computed with, so a clamp that lands a flow back on its old rate
+  // keeps its old finish time. Links overshoot by ulps routinely (the DRF
+  // stage saturates the bottleneck exactly), so the rescale pass is common.
+  double clamp_and_next_completion(Allocation& alloc) {
     const auto links = static_cast<std::size_t>(fabric.num_links());
     scratch_clamp.assign(links, 0.0);
     scratch_changed.clear();
+    double next = kInfinity;
     for (const auto& entry : active) {
       for (const Flow* f : entry->unfinished) {
         const double r = alloc.rate(f->id);
         scratch_clamp[static_cast<std::size_t>(fabric.uplink(f->src))] += r;
         scratch_clamp[static_cast<std::size_t>(fabric.downlink(f->dst))] += r;
         const auto idx = static_cast<std::size_t>(f->id);
-        if (!(r == last_rate[idx] &&
-              (r <= 0.0 || finish_at[idx] < kInfinity))) {
-          scratch_changed.emplace_back(f->id, r);
+        if (finish_current(idx, r)) {
+          next = std::min(next, finish_at[idx]);
+        } else {
+          scratch_changed.emplace_back(idx, r);
         }
       }
     }
@@ -358,59 +353,33 @@ struct DynamicSimulator::Impl {
       }
     }
     if (!any_over) {
-      for (const auto& [flow, r] : scratch_changed) {
-        update_flow_completion(flow, r);
+      for (const auto& [idx, r] : scratch_changed) {
+        next = std::min(next, update_finish(idx, r));
       }
-    } else {
-      // Rescale pass: every flow needs a heap refresh against its final
-      // rate (including flows that dropped to zero — their canonical
-      // finish time must become infinity).
-      for (const auto& entry : active) {
-        for (const Flow* f : entry->unfinished) {
-          double r = alloc.rate(f->id);
-          if (r > 0.0) {
-            const double s = std::min(
-                scratch_clamp[static_cast<std::size_t>(fabric.uplink(f->src))],
-                scratch_clamp[static_cast<std::size_t>(
-                    fabric.downlink(f->dst))]);
-            if (s < 1.0) {
-              r *= s;
-              alloc.set_rate(f->id, r);
-            }
+      return next;
+    }
+    // Rescale pass: every flow's finish time is refreshed against its
+    // final rate (including flows that dropped to zero — their canonical
+    // finish time must become infinity).
+    next = kInfinity;
+    for (const auto& entry : active) {
+      for (const Flow* f : entry->unfinished) {
+        double r = alloc.rate(f->id);
+        if (r > 0.0) {
+          const double s = std::min(
+              scratch_clamp[static_cast<std::size_t>(fabric.uplink(f->src))],
+              scratch_clamp[static_cast<std::size_t>(
+                  fabric.downlink(f->dst))]);
+          if (s < 1.0) {
+            r *= s;
+            alloc.set_rate(f->id, r);
           }
-          update_flow_completion(f->id, r);
         }
+        next = std::min(
+            next, update_finish(static_cast<std::size_t>(f->id), r));
       }
     }
-    // Stale entries accumulate under heavy rate churn; rebuild from the
-    // canonical finish times once they dominate, bounding heap memory at
-    // O(unfinished flows) amortized.
-    if (completions.size() > 64 &&
-        completions.size() > 4 * unfinished_flows) {
-      std::vector<FinishEvent> live;
-      live.reserve(unfinished_flows);
-      for (const auto& entry : active) {
-        for (const Flow* f : entry->unfinished) {
-          const double t = finish_at[static_cast<std::size_t>(f->id)];
-          if (t < kInfinity) live.push_back(FinishEvent{t, f->id});
-        }
-      }
-      completions = std::priority_queue<FinishEvent, std::vector<FinishEvent>,
-                                        FinishLater>(FinishLater{},
-                                                     std::move(live));
-    }
-  }
-
-  // Earliest live flow-completion time, discarding stale heap entries.
-  double next_completion_time() {
-    while (!completions.empty()) {
-      const FinishEvent top = completions.top();
-      if (finish_at[static_cast<std::size_t>(top.flow)] == top.time) {
-        return top.time;
-      }
-      completions.pop();
-    }
-    return kInfinity;
+    return next;
   }
 
   void run() {
@@ -443,13 +412,13 @@ struct DynamicSimulator::Impl {
                          static_cast<std::int64_t>(active.size()));
         alloc = scheduler.allocate(input);
       }
-      clamp_and_update_completions(alloc);
+      const double next_completion = clamp_and_next_completion(alloc);
       if (options.validate_allocations) check_capacity(input, alloc);
       ++result.num_allocations;
       if (m_allocations != nullptr) m_allocations->inc();
 
       // Next event time.
-      double dt = next_completion_time() - now;
+      double dt = next_completion - now;
       if (!pending.empty()) {
         dt = std::min(dt, pending.top()->coflow.arrival_time() - now);
       }
@@ -627,6 +596,12 @@ RunResult DynamicSimulator::take_result() {
             [](const CoflowRecord& a, const CoflowRecord& b) {
               return a.id < b.id;
             });
+  // Callers keep results long after the run (a sweep holds one per cell).
+  // Trimming the growth slack hands each run's oversized block back to the
+  // heap for the next run, so the peak RSS of such callers stays close to
+  // the size of the results they hold.
+  impl_->result.intervals.shrink_to_fit();
+  impl_->result.progress.shrink_to_fit();
   return std::move(impl_->result);
 }
 

@@ -45,8 +45,9 @@ struct SimOptions {
   double completion_epsilon_bits = 1.0;
 
   // Record per-interval utilization/disparity samples (Figs. 5a, 5b).
-  // Costs O(active flows + coflows·links) per event; disable for CCT-only
-  // runs.
+  // Costs O(live flows + FlowId range/64) per event: progress visits the
+  // links each coflow's live flows touch, and the rate sum walks the
+  // allocation's presence bitmap. Disable for CCT-only runs.
   bool record_intervals = true;
 
   // Record per-coflow progress time series (Fig. 8). Meant for small

@@ -3,10 +3,15 @@
 // shares and wasted bandwidth, DRF's 1/3 Gbps shares and equal progress.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "coflow/coflow.h"
 #include "common/check.h"
+#include "common/rng.h"
 #include "common/units.h"
 #include "sched/aalo.h"
 #include "sched/allocation.h"
@@ -51,6 +56,149 @@ TEST(Allocation, DefaultsToZeroAndValidates) {
   EXPECT_THROW(alloc.set_rate(2, -1.0), CheckError);
   const double inf = std::numeric_limits<double>::infinity();
   EXPECT_THROW(alloc.set_rate(2, inf), CheckError);
+}
+
+TEST(Allocation, UnsetAndExplicitZeroStayDistinct) {
+  Allocation alloc;
+  EXPECT_FALSE(alloc.has_rate(3));
+  EXPECT_FALSE(alloc.has_rate(-1));
+  alloc.set_rate(3, 0.0);
+  EXPECT_TRUE(alloc.has_rate(3));
+  EXPECT_EQ(alloc.rate(3), 0.0);
+  EXPECT_FALSE(alloc.has_rate(2));
+  EXPECT_FALSE(alloc.has_rate(4));
+  EXPECT_FALSE(alloc.has_rate(1 << 20));  // past the table
+  alloc.add_rate(5, 0.0);
+  EXPECT_TRUE(alloc.has_rate(5));
+  EXPECT_EQ(alloc.num_flows(), 2u);
+  EXPECT_THROW(alloc.set_rate(-1, 1.0), CheckError);
+}
+
+TEST(Allocation, IdsOnBothSidesOfABitmapWord) {
+  Allocation alloc;
+  for (const FlowId id : {0, 63, 64, 127, 128, 191}) {
+    alloc.set_rate(id, 1.0 + id);
+  }
+  for (const FlowId id : {0, 63, 64, 127, 128, 191}) {
+    EXPECT_TRUE(alloc.has_rate(id)) << id;
+    EXPECT_EQ(alloc.rate(id), 1.0 + id) << id;
+  }
+  for (const FlowId id : {1, 62, 65, 126, 129, 190, 192}) {
+    EXPECT_FALSE(alloc.has_rate(id)) << id;
+    EXPECT_EQ(alloc.rate(id), 0.0) << id;
+  }
+  EXPECT_EQ(alloc.num_flows(), 6u);
+}
+
+TEST(Allocation, GrowthPastReserveKeepsEveryRate) {
+  Allocation alloc;
+  alloc.reserve(10);
+  alloc.set_rate(9, 9.0);
+  alloc.set_rate(2, 0.0);
+  // Each id forces a reallocation beyond the last one.
+  for (const FlowId id : {10, 100, 1000, 5000, 100000}) {
+    alloc.set_rate(id, 0.5 * id);
+  }
+  EXPECT_EQ(alloc.num_flows(), 7u);
+  EXPECT_EQ(alloc.rate(9), 9.0);
+  EXPECT_TRUE(alloc.has_rate(2));
+  EXPECT_EQ(alloc.rate(2), 0.0);
+  for (const FlowId id : {10, 100, 1000, 5000, 100000}) {
+    EXPECT_EQ(alloc.rate(id), 0.5 * id) << id;
+  }
+  EXPECT_FALSE(alloc.has_rate(99999));
+}
+
+TEST(Allocation, CopyIsDeep) {
+  Allocation a;
+  a.set_rate(1, 1.0);
+  a.set_rate(70, 7.0);
+  Allocation b = a;
+  b.set_rate(1, 2.0);
+  b.set_rate(500, 5.0);
+  EXPECT_EQ(a.rate(1), 1.0);
+  EXPECT_FALSE(a.has_rate(500));
+  EXPECT_EQ(a.num_flows(), 2u);
+  EXPECT_EQ(b.rate(1), 2.0);
+  EXPECT_EQ(b.rate(70), 7.0);
+  EXPECT_EQ(b.num_flows(), 3u);
+  Allocation c;
+  c.set_rate(3, 3.0);
+  c = a;  // copy-assign replaces c's contents
+  EXPECT_FALSE(c.has_rate(3));
+  EXPECT_EQ(c.rate(70), 7.0);
+  a.add_rate(70, 1.0);
+  EXPECT_EQ(c.rate(70), 7.0);
+  EXPECT_EQ(c.num_flows(), 2u);
+}
+
+TEST(Allocation, MovedFromIsEmptyAndReusable) {
+  Allocation a;
+  a.set_rate(4, 4.0);
+  a.set_rate(200, 2.0);
+  Allocation b = std::move(a);
+  EXPECT_EQ(b.rate(200), 2.0);
+  EXPECT_EQ(b.num_flows(), 2u);
+  EXPECT_TRUE(a.empty());
+  EXPECT_FALSE(a.has_rate(4));
+  EXPECT_EQ(a.total_rate(), 0.0);
+  a.set_rate(4, 1.5);
+  EXPECT_EQ(a.rate(4), 1.5);
+  EXPECT_EQ(a.num_flows(), 1u);
+
+  Allocation c;
+  c.set_rate(9, 9.0);
+  c = std::move(b);
+  EXPECT_FALSE(c.has_rate(9));
+  EXPECT_EQ(c.rate(4), 4.0);
+  EXPECT_TRUE(b.empty());
+  b.add_rate(300, 3.0);
+  EXPECT_EQ(b.rate(300), 3.0);
+  EXPECT_EQ(b.num_flows(), 1u);
+}
+
+TEST(Allocation, NumFlowsCountsAnIdOnceUnderMixedWrites) {
+  Allocation alloc;
+  alloc.add_rate(7, 1.0);
+  alloc.set_rate(7, 2.0);
+  alloc.add_rate(7, 3.0);
+  alloc.set_rate(8, 0.0);
+  alloc.add_rate(8, 1.0);
+  alloc.set_rate(8, 4.0);
+  EXPECT_EQ(alloc.num_flows(), 2u);
+  EXPECT_EQ(alloc.rate(7), 5.0);
+  EXPECT_EQ(alloc.rate(8), 4.0);
+}
+
+TEST(Allocation, TotalRateSumsInFlowIdOrderBitForBit) {
+  // Rates spanning many magnitudes make the sum depend on its order; the
+  // assignment order is shuffled, the expected sum runs by ascending id.
+  Rng rng(77);
+  std::vector<FlowId> ids;
+  for (FlowId id = 0; id < 400; id += 1 + static_cast<FlowId>(
+                                            rng.uniform_int(0, 5))) {
+    ids.push_back(id);
+  }
+  std::vector<double> rate_of(400, 0.0);
+  for (const FlowId id : ids) {
+    rate_of[static_cast<std::size_t>(id)] =
+        rng.uniform(0.0, 1.0) * (id % 7 == 0 ? 1e16 : 1.0);
+  }
+  std::vector<FlowId> order = ids;
+  rng.shuffle(order);
+  Allocation alloc;
+  double insertion_sum = 0.0;
+  for (const FlowId id : order) {
+    alloc.set_rate(id, rate_of[static_cast<std::size_t>(id)]);
+    insertion_sum += rate_of[static_cast<std::size_t>(id)];
+  }
+  double expected = 0.0;
+  for (const FlowId id : ids) expected += rate_of[static_cast<std::size_t>(id)];
+  ASSERT_NE(std::bit_cast<std::uint64_t>(insertion_sum),
+            std::bit_cast<std::uint64_t>(expected))
+      << "rates too tame to tell the orders apart";
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(alloc.total_rate()),
+            std::bit_cast<std::uint64_t>(expected));
 }
 
 TEST(Allocation, LinkUsageAndCapacityCheck) {

@@ -505,6 +505,50 @@ TEST(ServeFront, DeparturesRetireAdmittedCoflows) {
   EXPECT_EQ(front.master().active_coflows(), 0);
 }
 
+// A wall-clock driver samples `now` before it steps the epoch, so a client
+// can enqueue a submission stamped after that `now` and still be admitted
+// in the epoch. Its latencies record 0 (the histograms reject negatives);
+// the admit record keeps the raw times.
+TEST(ServeFront, SubmissionStampedAfterEpochNowRecordsZeroLatency) {
+  const Fabric fabric(4, gbps(1.0));
+  const auto sched = make_scheduler("ncdrf");
+  obs::MetricsRegistry metrics;
+  obs::Tracer tracer(1 << 10, obs::Tracer::ClockMode::kVirtual);
+  ServeOptions options;
+  options.metrics = &metrics;
+  options.tracer = &tracer;
+  ServeFront front(fabric, *sched, 1, options);
+  std::vector<serve::AdmitRecord> admits;
+  front.admit_hook = [&](const serve::AdmitRecord& r) {
+    admits.push_back(r);
+  };
+  ASSERT_TRUE(front.queue(0).try_enqueue(
+      make_submission(0, 0, /*t=*/0.5, {Flow{0, -1, 0, 1, 1e9}})));
+  ASSERT_NO_THROW(front.step_epoch(0.25));
+  ASSERT_EQ(front.admitted(), 1);
+  ASSERT_EQ(front.rate_pushes(), 1);
+  ASSERT_EQ(admits.size(), 1u);
+  EXPECT_EQ(admits[0].submit_time, 0.5);
+  EXPECT_EQ(admits[0].admit_time, 0.25);
+  for (const char* name :
+       {"serve.admit_latency_s", "serve.stage.queue_s",
+        "serve.alloc_latency_s", "serve.push_latency_s",
+        "serve.stage.total_s"}) {
+    const obs::Histogram& h = metrics.histogram(name);
+    EXPECT_EQ(h.count(), 1) << name;
+    EXPECT_EQ(h.max(), 0.0) << name;
+  }
+  int instants = 0;
+  for (const obs::TraceEvent& e : tracer.events()) {
+    if (e.kind == obs::EventKind::kServeAdmit ||
+        e.kind == obs::EventKind::kServeFirstPush) {
+      EXPECT_EQ(e.d0, 0.0);
+      ++instants;
+    }
+  }
+  EXPECT_EQ(instants, 2);
+}
+
 // ---------------------------------------------------------------------
 // Determinism: byte-identical metrics (and trace) JSON across runs, for
 // 2 seeds × {1, 4} clients, including a sharded (threaded) kernel.
