@@ -1,7 +1,7 @@
 // Kernel-layer microbenchmark with hardware perf counters: the
 // mechanical-sympathy companion to bench_sched_scalability. Where that
 // bench measures end-to-end events/sec, this one isolates the hot kernels
-// — the SoA snapshot gather, the indexed-heap waterfill solve, and each
+// — the SoA snapshot gather, the unit-weight waterfill solve, and each
 // policy family's priority-fill allocate() on a warmed incremental
 // scheduler — and annotates every case with instructions, branch misses,
 // and cache (LLC) misses per event from perf_event_open.
@@ -284,7 +284,7 @@ int main(int argc, char** argv) {
   std::vector<CaseResult> results;
 
   // Kernel primitives in isolation: the snapshot mirror and the
-  // indexed-heap max-min solve over the gathered columns.
+  // unit-weight max-min solve over the gathered columns.
   {
     KernelScratch scratch;
     results.push_back(measure("gather", coflows, bench.num_flows(),

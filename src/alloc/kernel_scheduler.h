@@ -18,6 +18,28 @@
 
 namespace ncdrf {
 
+// Inline backfill-stage timer (SchedPerf::backfill_seconds), AllocScope's
+// twin for the work-conservation stage. Every policy that counts
+// backfill_rounds times the counted stage with one, including the ones
+// that are not KernelSchedulers.
+class BackfillScope {
+ public:
+  explicit BackfillScope(SchedPerf& perf)
+      : perf_(perf), start_(std::chrono::steady_clock::now()) {}
+  ~BackfillScope() {
+    perf_.backfill_seconds +=
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      start_)
+            .count();
+  }
+  BackfillScope(const BackfillScope&) = delete;
+  BackfillScope& operator=(const BackfillScope&) = delete;
+
+ private:
+  SchedPerf& perf_;
+  std::chrono::steady_clock::time_point start_;
+};
+
 class KernelScheduler : public Scheduler {
  public:
   bool wants_events() const override { return true; }

@@ -1,6 +1,6 @@
 // Frozen pre-refactor reference implementations of every baseline policy,
 // kept verbatim from before src/sched/ moved onto the allocation-kernel
-// layer (persistent LinkLoadState, saturation-heap water-filling, memoized
+// layer (persistent LinkLoadState, saturation-order water-filling, memoized
 // demand cache).
 //
 // These are oracles, not production paths: the golden equivalence suite

@@ -1,6 +1,7 @@
 #include "alloc/waterfill.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/check.h"
 
@@ -15,69 +16,6 @@ double freeze_tolerance(double available_bps) {
 }
 
 }  // namespace
-
-void WaterfillKernel::sift_up(std::size_t i) {
-  const std::int32_t link = heap_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!heap_less(link, heap_[parent])) break;
-    heap_[i] = heap_[parent];
-    pos_[static_cast<std::size_t>(heap_[i])] = static_cast<std::int32_t>(i);
-    i = parent;
-  }
-  heap_[i] = link;
-  pos_[static_cast<std::size_t>(link)] = static_cast<std::int32_t>(i);
-}
-
-void WaterfillKernel::sift_down(std::size_t i) {
-  const std::int32_t link = heap_[i];
-  const std::size_t n = heap_.size();
-  for (;;) {
-    std::size_t child = 2 * i + 1;
-    if (child >= n) break;
-    if (child + 1 < n && heap_less(heap_[child + 1], heap_[child])) {
-      ++child;
-    }
-    if (!heap_less(heap_[child], link)) break;
-    heap_[i] = heap_[child];
-    pos_[static_cast<std::size_t>(heap_[i])] = static_cast<std::int32_t>(i);
-    i = child;
-  }
-  heap_[i] = link;
-  pos_[static_cast<std::size_t>(link)] = static_cast<std::int32_t>(i);
-}
-
-void WaterfillKernel::heap_push(std::int32_t link) {
-  heap_.push_back(link);
-  pos_[static_cast<std::size_t>(link)] =
-      static_cast<std::int32_t>(heap_.size() - 1);
-  sift_up(heap_.size() - 1);
-}
-
-void WaterfillKernel::heap_remove(std::int32_t link) {
-  const auto i = static_cast<std::size_t>(pos_[static_cast<std::size_t>(link)]);
-  pos_[static_cast<std::size_t>(link)] = -1;
-  const std::int32_t moved = heap_.back();
-  heap_.pop_back();
-  if (i == heap_.size()) return;
-  heap_[i] = moved;
-  pos_[static_cast<std::size_t>(moved)] = static_cast<std::int32_t>(i);
-  sift_down(i);
-  sift_up(static_cast<std::size_t>(pos_[static_cast<std::size_t>(moved)]));
-}
-
-std::int32_t WaterfillKernel::heap_pop_root() {
-  const std::int32_t root = heap_[0];
-  pos_[static_cast<std::size_t>(root)] = -1;
-  const std::int32_t moved = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) {
-    heap_[0] = moved;
-    pos_[static_cast<std::size_t>(moved)] = 0;
-    sift_down(0);
-  }
-  return root;
-}
 
 void WaterfillKernel::solve(const Fabric& fabric,
                             const std::vector<WaterfillFlow>& flows,
@@ -118,115 +56,195 @@ void WaterfillKernel::solve(const Fabric& fabric,
                       static_cast<std::size_t>(fabric.num_links()),
               "link mask must cover all links");
   const std::size_t n = problem.num_flows;
+  const auto num_links = static_cast<std::size_t>(fabric.num_links());
+  if (n == 0) return;
+  if (problem.weight != nullptr) {
+    std::fill(rates_out, rates_out + n, 0.0);
+    fill(num_links, problem, available_bps, link_mask, /*items_are_flows=*/true,
+         rates_out);
+    return;
+  }
+
+  // Unit weights: one item per (uplink, downlink) class, weighted by its
+  // flow count. Uplinks are [0, M) and downlinks [M, 2M).
   const std::int32_t* up = problem.up;
   const std::int32_t* dn = problem.dn;
-  const double* w = problem.weight;
-  std::fill(rates_out, rates_out + n, 0.0);
-  if (n == 0) return;
+  const auto m = static_cast<std::size_t>(fabric.num_machines());
+  const auto pair_of = [m](std::int32_t u, std::int32_t d) {
+    return static_cast<std::size_t>(u) * m + static_cast<std::size_t>(d) - m;
+  };
+  if (pair_class_.size() < m * m) pair_class_.resize(m * m, -1);
+  const std::size_t max_classes = std::min(n, m * m);
+  class_up_.resize(max_classes);
+  class_dn_.resize(max_classes);
+  class_count_.resize(max_classes);
+  std::size_t num_classes = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    std::int32_t& c = pair_class_[pair_of(up[k], dn[k])];
+    if (c < 0) {
+      c = static_cast<std::int32_t>(num_classes++);
+      class_up_[static_cast<std::size_t>(c)] = up[k];
+      class_dn_[static_cast<std::size_t>(c)] = dn[k];
+      class_count_[static_cast<std::size_t>(c)] = 0.0;
+    }
+    class_count_[static_cast<std::size_t>(c)] += 1.0;
+  }
+  class_level_.assign(num_classes, 0.0);
+  const WaterfillProblem classes{num_classes, class_up_.data(),
+                                 class_dn_.data(), class_count_.data()};
+  fill(num_links, classes, available_bps, link_mask, /*items_are_flows=*/false,
+       class_level_.data());
 
-  const auto num_links = static_cast<std::size_t>(fabric.num_links());
+  // Expand: a unit flow's rate is its class's fill level (1.0·Θ = Θ).
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::int32_t c = pair_class_[pair_of(up[k], dn[k])];
+    rates_out[k] = class_level_[static_cast<std::size_t>(c)];
+  }
+  for (std::size_t c = 0; c < num_classes; ++c) {
+    pair_class_[pair_of(class_up_[c], class_dn_[c])] = -1;
+  }
+}
+
+void WaterfillKernel::fill(std::size_t num_links, const WaterfillProblem& items,
+                           const std::vector<double>& available_bps,
+                           const std::vector<char>* link_mask,
+                           bool items_are_flows, double* out) {
+  const std::size_t n = items.num_flows;
+  const std::int32_t* up = items.up;
+  const std::int32_t* dn = items.dn;
+  const double* w = items.weight;
+
   weight_.assign(num_links, 0.0);
   avail_.resize(num_links);
   theta_last_.assign(num_links, 0.0);
   tol_.resize(num_links);
   key_.resize(num_links);
-  pos_.assign(num_links, -1);
-  frozen_flow_.assign(n, 0);
-  heap_.clear();
-
+  status_.assign(num_links, kRetired);
+  frozen_.assign(n, 0);
   for (std::size_t i = 0; i < num_links; ++i) {
     avail_[i] = std::max(available_bps[i], 0.0);
     tol_[i] = freeze_tolerance(available_bps[i]);
   }
 
-  // CSR adjacency (link → flow indices) and per-link unfrozen weight:
+  // CSR adjacency (link → item indices) and per-link unfrozen weight:
   // straight-line sweeps over the flat columns.
   csr_offsets_.assign(num_links + 1, 0);
   for (std::size_t k = 0; k < n; ++k) {
-    const double wk = w != nullptr ? w[k] : 1.0;
-    NCDRF_CHECK(wk > 0.0, "max-min weights must be positive");
+    NCDRF_CHECK(w[k] > 0.0, "max-min weights must be positive");
     csr_offsets_[static_cast<std::size_t>(up[k]) + 1] += 1;
     csr_offsets_[static_cast<std::size_t>(dn[k]) + 1] += 1;
-    weight_[static_cast<std::size_t>(up[k])] += wk;
-    weight_[static_cast<std::size_t>(dn[k])] += wk;
+    weight_[static_cast<std::size_t>(up[k])] += w[k];
+    weight_[static_cast<std::size_t>(dn[k])] += w[k];
   }
   for (std::size_t i = 0; i < num_links; ++i) {
     csr_offsets_[i + 1] += csr_offsets_[i];
   }
-  csr_flows_.resize(static_cast<std::size_t>(csr_offsets_[num_links]));
-  {
-    std::vector<std::int32_t>& cursor = csr_cursor_;
-    cursor.assign(csr_offsets_.begin(), csr_offsets_.end() - 1);
-    for (std::size_t k = 0; k < n; ++k) {
-      csr_flows_[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(up[k])]++)] =
-          static_cast<std::int32_t>(k);
-      csr_flows_[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(dn[k])]++)] =
-          static_cast<std::int32_t>(k);
-    }
+  csr_items_.resize(static_cast<std::size_t>(csr_offsets_[num_links]));
+  csr_cursor_.assign(csr_offsets_.begin(), csr_offsets_.end() - 1);
+  for (std::size_t k = 0; k < n; ++k) {
+    csr_items_[static_cast<std::size_t>(
+        csr_cursor_[static_cast<std::size_t>(up[k])]++)] =
+        static_cast<std::int32_t>(k);
+    csr_items_[static_cast<std::size_t>(
+        csr_cursor_[static_cast<std::size_t>(dn[k])]++)] =
+        static_cast<std::int32_t>(k);
   }
 
+  // The live links, one bit each, and the dirty ones among them, each
+  // listed once until the next scan refreshes its level.
+  const std::size_t num_words = (num_links + 63) / 64;
+  live_.assign(num_words, 0);
+  dirty_.resize(num_links);
+  std::size_t num_dirty = 0;
   for (std::size_t i = 0; i < num_links; ++i) {
     const bool masked_out = link_mask != nullptr && (*link_mask)[i] == 0;
     if (weight_[i] > 0.0 && !masked_out) {
-      key_[i] = theta_last_[i] + avail_[i] / weight_[i];
-      heap_push(static_cast<std::int32_t>(i));
+      status_[i] = kDirty;
+      live_[i / 64] |= std::uint64_t{1} << (i % 64);
+      dirty_[num_dirty++] = static_cast<std::int32_t>(i);
     }
   }
+  const auto retire = [&](std::size_t link) {
+    status_[link] = kRetired;
+    live_[link / 64] &= ~(std::uint64_t{1} << (link % 64));
+  };
 
-  // Freezes `link` at fill level theta: all its unfrozen flows get their
-  // final rate weight·theta, and each such flow's other endpoint link is
-  // advanced to theta and re-keyed in place with the flow's weight
-  // removed. A link absent from the heap (pos < 0) is frozen, weightless
-  // or masked out — all cases the update must skip.
+  // Freezes `link` at fill level theta: all its unfrozen items get their
+  // output, and each such item's other endpoint link, unless retired, is
+  // advanced to theta with the item's weight removed.
   const auto freeze_link = [&](std::size_t link, double theta) {
     const auto begin = static_cast<std::size_t>(csr_offsets_[link]);
     const auto end = static_cast<std::size_t>(csr_offsets_[link + 1]);
     for (std::size_t c = begin; c < end; ++c) {
-      const auto k = static_cast<std::size_t>(csr_flows_[c]);
-      if (frozen_flow_[k]) continue;
-      frozen_flow_[k] = 1;
-      const double wk = w != nullptr ? w[k] : 1.0;
-      rates_out[k] = wk * theta;
+      const auto k = static_cast<std::size_t>(csr_items_[c]);
+      if (frozen_[k]) continue;
+      frozen_[k] = 1;
+      out[k] = items_are_flows ? w[k] * theta : theta;
       const auto u = static_cast<std::size_t>(up[k]);
       const std::size_t other = (u == link) ? static_cast<std::size_t>(dn[k])
                                             : u;
-      if (pos_[other] < 0) continue;
+      if (status_[other] == kRetired) continue;
       avail_[other] = std::max(
           avail_[other] - (theta - theta_last_[other]) * weight_[other],
           0.0);
       theta_last_[other] = theta;
-      weight_[other] -= wk;
+      weight_[other] -= w[k];
+      // Only a clean link joins the dirty list. With no unfrozen weight
+      // left the link never constrains again.
+      dirty_[num_dirty] = static_cast<std::int32_t>(other);
+      num_dirty += status_[other] == kClean ? 1 : 0;
       if (weight_[other] > 0.0) {
-        key_[other] = theta_last_[other] + avail_[other] / weight_[other];
-        // Removing weight never lowers a heaped link's saturation level,
-        // but the heap repair is direction-agnostic anyway.
-        const auto at = static_cast<std::size_t>(pos_[other]);
-        sift_down(at);
-        sift_up(static_cast<std::size_t>(pos_[other]));
+        status_[other] = kDirty;
       } else {
-        weight_[other] = 0.0;  // no unfrozen flow left; never constrains
-        heap_remove(static_cast<std::int32_t>(other));
+        retire(other);
       }
     }
   };
 
-  double theta = 0.0;
-  while (!heap_.empty()) {
-    const auto link = static_cast<std::size_t>(heap_pop_root());
-    theta = std::max(key_[link], theta);
-    freeze_link(link, theta);
+  // The live link with the smallest (saturation level, link id), or -1
+  // when none is left: refreshes the dirty levels, then scans the live
+  // bits in ascending id order.
+  const auto next_saturation = [&]() -> std::int32_t {
+    for (std::size_t d = 0; d < num_dirty; ++d) {
+      const auto l = static_cast<std::size_t>(dirty_[d]);
+      if (status_[l] != kDirty) continue;  // retired since it was listed
+      key_[l] = theta_last_[l] + avail_[l] / weight_[l];
+      status_[l] = kClean;
+    }
+    num_dirty = 0;
+    std::int32_t best = -1;
+    double best_key = 0.0;
+    for (std::size_t word = 0; word < num_words; ++word) {
+      for (std::uint64_t bits = live_[word]; bits != 0; bits &= bits - 1) {
+        const std::size_t l =
+            word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        // Ascending ids: a strict < keeps the lowest id among equal levels.
+        if (key_[l] < best_key || best < 0) {
+          best = static_cast<std::int32_t>(l);
+          best_key = key_[l];
+        }
+      }
+    }
+    return best;
+  };
 
-    // Legacy tolerance cascade: any link whose residual at this fill level
-    // sits within its freeze band saturates now, not at its own key.
-    while (!heap_.empty()) {
-      const auto j = static_cast<std::size_t>(heap_[0]);
+  double theta = 0.0;
+  std::int32_t next = next_saturation();
+  while (next >= 0) {
+    theta = std::max(key_[static_cast<std::size_t>(next)], theta);
+    for (;;) {
+      const auto link = static_cast<std::size_t>(next);
+      retire(link);
+      freeze_link(link, theta);
+      next = next_saturation();
+      if (next < 0) break;
+      // Legacy tolerance cascade: the next link saturates at this fill
+      // level, not at its own, when its residual here sits within its
+      // freeze band.
+      const auto j = static_cast<std::size_t>(next);
       const double resid =
           std::max(avail_[j] - (theta - theta_last_[j]) * weight_[j], 0.0);
       if (resid > tol_[j]) break;
-      heap_pop_root();
-      freeze_link(j, theta);
     }
   }
 }

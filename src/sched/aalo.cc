@@ -68,6 +68,7 @@ Allocation AaloScheduler::allocate(const ScheduleInput& input) {
     alloc.reserve(static_cast<std::size_t>(live_flows_hint(input)));
     sharded_fill_.run(input, state_, order_, *runtime_, alloc);
     if (options_.work_conserving) {
+      BackfillScope backfill(perf_);
       perf_.backfill_rounds += 1;
       sharded_backfill_.run(input, *runtime_, alloc);
     }
@@ -107,6 +108,7 @@ Allocation AaloScheduler::allocate(const ScheduleInput& input) {
   }
 
   if (options_.work_conserving) {
+    BackfillScope backfill(perf_);
     perf_.backfill_rounds += 1;
     backfill_.run(fabric, table);
   }

@@ -89,10 +89,14 @@ Allocation BaraatScheduler::allocate(const ScheduleInput& input) {
     perf_.backfill_rounds += 1;
     if (runtime_ != nullptr && runtime_->bind(fabric).num_shards() > 1) {
       KernelScratch::commit(table, alloc);
-      sharded_backfill_.run(input, *runtime_, alloc);
+      {
+        BackfillScope backfill(perf_);
+        sharded_backfill_.run(input, *runtime_, alloc);
+      }
       runtime_->drain_timers(perf_);
       return alloc;
     }
+    BackfillScope backfill(perf_);
     backfill_.run(fabric, table);
   }
   KernelScratch::commit(table, alloc);

@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "alloc/kernel_scheduler.h"
 #include "common/check.h"
 #include "sched/backfill.h"
 
@@ -24,6 +25,7 @@ Allocation DrfScheduler::allocate(const ScheduleInput& input) {
   cache_.refresh(input, runtime_.get());
   const double p_star = drf_allocate(input, cache_, runtime_.get(), alloc);
   if (p_star > 0.0 && options_.work_conserving) {
+    BackfillScope backfill(perf_);
     perf_.backfill_rounds += options_.backfill_rounds;
     even_backfill(input, alloc, options_.backfill_rounds);
   }

@@ -33,6 +33,7 @@ Allocation FifoScheduler::allocate(const ScheduleInput& input) {
     alloc.reserve(static_cast<std::size_t>(live_flows_hint(input)));
     sharded_fill_.run(input, state_, order_, *runtime_, alloc);
     if (options_.work_conserving) {
+      BackfillScope backfill(perf_);
       perf_.backfill_rounds += 1;
       sharded_backfill_.run(input, *runtime_, alloc);
     }
@@ -71,6 +72,7 @@ Allocation FifoScheduler::allocate(const ScheduleInput& input) {
   }
 
   if (options_.work_conserving) {
+    BackfillScope backfill(perf_);
     perf_.backfill_rounds += 1;
     backfill_.run(fabric, table);
   }

@@ -26,6 +26,8 @@ Allocation HugScheduler::allocate(const ScheduleInput& input) {
   const auto num_links = static_cast<std::size_t>(fabric.num_links());
   const std::size_t num_coflows = input.coflows.size();
   sync(input);
+  // Stage 2, the spare rounds and the slot arena they run over.
+  BackfillScope backfill(perf_);
 
   // Build the sparse (coflow, link) slot arena for this snapshot: the
   // per-coflow active-flow counts per link are fixed across rounds and

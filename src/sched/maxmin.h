@@ -7,7 +7,7 @@
 // algorithm, cf. Bertsekas & Gallager §6.5.2).
 //
 // The solver itself lives in the allocation-kernel layer
-// (alloc/waterfill.h, a saturation-heap kernel); these free functions are
+// (alloc/waterfill.h, a saturation-order kernel); these free functions are
 // thin convenience wrappers over one-shot kernel instances for callers
 // without per-call state. Policies on the allocate() hot path hold a
 // WaterfillKernel / ResidualBackfill member instead and reuse its scratch.

@@ -7,6 +7,7 @@
 #include <numeric>
 #include <vector>
 
+#include "alloc/kernel_scheduler.h"
 #include "common/check.h"
 
 namespace ncdrf {
@@ -106,7 +107,10 @@ Allocation VarysScheduler::allocate(const ScheduleInput& input) {
     perf_.backfill_rounds += 1;
     if (runtime_ != nullptr && runtime_->bind(fabric).num_shards() > 1) {
       KernelScratch::commit(table, alloc);
-      sharded_backfill_.run(input, *runtime_, alloc);
+      {
+        BackfillScope backfill(perf_);
+        sharded_backfill_.run(input, *runtime_, alloc);
+      }
       runtime_->drain_timers(perf_);
       perf_.allocate_seconds +=
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -114,6 +118,7 @@ Allocation VarysScheduler::allocate(const ScheduleInput& input) {
               .count();
       return alloc;
     }
+    BackfillScope backfill(perf_);
     backfill_.run(fabric, table);
   }
   KernelScratch::commit(table, alloc);

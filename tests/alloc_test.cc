@@ -1,12 +1,15 @@
 // Unit tests for the allocation-kernel layer (src/alloc/): persistent
-// link-load state, the saturation-heap water-filling kernel, the memoized
+// link-load state, the saturation-order water-filling kernel, the memoized
 // demand cache, and the KernelScheduler sync machinery. The breadth
 // legacy-vs-kernel equivalence lives in alloc_golden_test.cc; this file
 // covers the layer's own invariants and the edge cases (zero available
 // capacity, empty snapshots, extreme weights).
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -292,6 +295,107 @@ TEST(WaterfillTest, NeverOversubscribesAndSaturatesABottleneckPerFlow) {
       EXPECT_TRUE(up_sat || down_sat) << "flow " << i << " unbottlenecked";
     }
   }
+}
+
+// --- Pair-class solve ----------------------------------------------------
+
+// A null weight column is solved over (uplink, downlink) pair classes, an
+// explicit one flow by flow; with all-1.0 weights both must return the
+// same bits for every flow. Returns the unit-weight rates.
+std::vector<double> expect_class_solve_matches_per_flow(
+    WaterfillKernel& kernel, const Fabric& fabric,
+    const std::vector<std::int32_t>& up, const std::vector<std::int32_t>& dn,
+    const std::vector<double>& avail, const std::vector<char>* mask,
+    const std::string& context) {
+  const std::size_t n = up.size();
+  const std::vector<double> ones(n, 1.0);
+  std::vector<double> unit(n, -1.0);
+  std::vector<double> per_flow(n, -1.0);
+  kernel.solve(fabric, WaterfillProblem{n, up.data(), dn.data(), nullptr},
+               avail, mask, unit.data());
+  kernel.solve(fabric, WaterfillProblem{n, up.data(), dn.data(), ones.data()},
+               avail, mask, per_flow.data());
+  for (std::size_t k = 0; k < n; ++k) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(unit[k]),
+              std::bit_cast<std::uint64_t>(per_flow[k]))
+        << context << " flow " << k << ": " << unit[k] << " vs "
+        << per_flow[k];
+  }
+  return unit;
+}
+
+TEST(WaterfillTest, PairClassSolveMatchesPerFlowSolveBitForBit) {
+  Rng rng(53);
+  // One kernel throughout: its pair table must come back clean after
+  // every solve, across fabric sizes.
+  WaterfillKernel kernel;
+  for (int iter = 0; iter < 300; ++iter) {
+    // Few machines and many flows, so pairs repeat heavily.
+    const auto m = static_cast<int>(rng.uniform_int(1, 12));
+    const Fabric fabric(m, gbps(1.0));
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 400));
+    std::vector<std::int32_t> up(n);
+    std::vector<std::int32_t> dn(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      up[k] = fabric.uplink(static_cast<MachineId>(rng.uniform_int(0, m - 1)));
+      dn[k] =
+          fabric.downlink(static_cast<MachineId>(rng.uniform_int(0, m - 1)));
+    }
+    std::vector<double> avail(static_cast<std::size_t>(fabric.num_links()));
+    for (double& a : avail) {
+      switch (rng.uniform_int(0, 2)) {
+        case 0:
+          a = 0.0;
+          break;
+        case 1:
+          a = gbps(1.0);
+          break;
+        default:
+          a = rng.uniform(0.0, gbps(1.0));
+      }
+    }
+    std::vector<char> mask(avail.size());
+    for (char& in : mask) in = rng.bernoulli(0.7) ? 1 : 0;
+    const std::string context = "iter " + std::to_string(iter);
+    expect_class_solve_matches_per_flow(kernel, fabric, up, dn, avail,
+                                        nullptr, context);
+    expect_class_solve_matches_per_flow(kernel, fabric, up, dn, avail, &mask,
+                                        context + " masked");
+  }
+}
+
+TEST(WaterfillTest, PairClassSolveMatchesPerFlowOnDegenerateShapes) {
+  const Fabric fabric(150, gbps(1.0));
+  const std::vector<double> caps = full_capacities(fabric);
+  WaterfillKernel kernel;
+  Rng rng(59);
+
+  // Every flow on one hot uplink: it saturates first, split evenly.
+  std::vector<std::int32_t> up(3000, fabric.uplink(7));
+  std::vector<std::int32_t> dn(3000);
+  for (std::int32_t& d : dn) {
+    d = fabric.downlink(static_cast<MachineId>(rng.uniform_int(0, 149)));
+  }
+  std::vector<double> rates = expect_class_solve_matches_per_flow(
+      kernel, fabric, up, dn, caps, nullptr, "hot link");
+  for (const double r : rates) EXPECT_DOUBLE_EQ(r, gbps(1.0) / 3000.0);
+
+  // One pair carrying 10^4 flows.
+  up.assign(10000, fabric.uplink(3));
+  dn.assign(10000, fabric.downlink(4));
+  rates = expect_class_solve_matches_per_flow(kernel, fabric, up, dn, caps,
+                                              nullptr, "one pair");
+  for (const double r : rates) EXPECT_EQ(r, gbps(1.0) / 10000.0);
+
+  // An all-zero-capacity fabric: every flow freezes at 0.
+  for (std::size_t k = 0; k < up.size(); ++k) {
+    up[k] = fabric.uplink(static_cast<MachineId>(rng.uniform_int(0, 149)));
+    dn[k] = fabric.downlink(static_cast<MachineId>(rng.uniform_int(0, 149)));
+  }
+  const std::vector<double> zero(caps.size(), 0.0);
+  rates = expect_class_solve_matches_per_flow(kernel, fabric, up, dn, zero,
+                                              nullptr, "zero capacity");
+  for (const double r : rates) EXPECT_EQ(r, 0.0);
 }
 
 // --- residual_capacity / ResidualBackfill ---------------------------------

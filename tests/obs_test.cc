@@ -3,19 +3,26 @@
 // schema validators, and the streaming Theorem 1 fairness auditor.
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <set>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "common/units.h"
 #include "core/ncdrf.h"
+#include "core/registry.h"
 #include "obs/audit.h"
 #include "obs/json_lint.h"
 #include "obs/metrics.h"
 #include "obs/perf.h"
 #include "obs/tracer.h"
 #include "runner/sweep.h"
+#include "sched/drf.h"
 #include "sim/sim.h"
 #include "test_util.h"
 #include "trace/synthetic_fb.h"
@@ -281,6 +288,66 @@ TEST(SchedPerfTest, NcDrfCountsBackfillRounds) {
   ASSERT_NE(scheduler.perf_counters(), nullptr);
   EXPECT_EQ(scheduler.perf_counters()->allocate_calls,
             scheduler.perf().allocate_calls);
+}
+
+// A stage counted in backfill_rounds must also be timed into
+// backfill_seconds, on the serial and the sharded paths, or the per-layer
+// split hides where a priority scheduler's allocate() goes.
+TEST(SchedPerfTest, EveryCountedBackfillStageIsTimed) {
+  const Fabric fabric(16, gbps(1.0));
+  Rng rng(19);
+  TraceBuilder builder(fabric.num_machines());
+  for (int c = 0; c < 20; ++c) {
+    builder.begin_coflow(0.0);
+    const auto flows = static_cast<int>(rng.uniform_int(1, 6));
+    for (int f = 0; f < flows; ++f) {
+      builder.add_flow(
+          static_cast<MachineId>(
+              rng.uniform_int(0, fabric.num_machines() - 1)),
+          static_cast<MachineId>(
+              rng.uniform_int(0, fabric.num_machines() - 1)),
+          1e7 * static_cast<double>(rng.uniform_int(1, 40)));
+    }
+  }
+  const Trace trace = builder.build();
+  const testing::Snapshot snap =
+      testing::snapshot_all_active(fabric, trace, /*clairvoyant=*/true);
+
+  std::vector<std::pair<std::string, std::unique_ptr<Scheduler>>> cells;
+  for (const std::string& name : scheduler_names()) {
+    cells.emplace_back(name, make_scheduler(name));
+    // The ncdrf family and karma run their incremental engine serially
+    // only.
+    if (name.rfind("ncdrf", 0) != 0 && name != "karma") {
+      cells.emplace_back(name + "@2",
+                         make_scheduler(name, SchedulerOptions{.shards = 2}));
+    }
+  }
+  // DRF backfills only as an ablation.
+  const DrfOptions ablation{.work_conserving = true};
+  cells.emplace_back("drf+backfill", std::make_unique<DrfScheduler>(ablation));
+  cells.emplace_back("drf+backfill@2",
+                     std::make_unique<DrfScheduler>(
+                         ablation, SchedulerOptions{.shards = 2}));
+
+  std::set<std::string> counted;
+  for (auto& [label, scheduler] : cells) {
+    const SchedPerf* perf = scheduler->perf_counters();
+    if (perf == nullptr) continue;
+    const SchedPerf before = *perf;
+    scheduler->allocate(snap.input);
+    if (perf->backfill_rounds > before.backfill_rounds) {
+      counted.insert(label);
+      EXPECT_GT(perf->backfill_seconds, before.backfill_seconds) << label;
+    }
+  }
+  // Not vacuous: every backfilling family counted a stage on this snapshot.
+  for (const char* label :
+       {"aalo", "aalo@2", "fifo", "fifo@2", "varys", "varys@2", "baraat",
+        "baraat@2", "hug", "hug@2", "ncdrf", "drf+backfill",
+        "drf+backfill@2"}) {
+    EXPECT_EQ(counted.count(label), 1u) << label;
+  }
 }
 
 TEST(SweepTest, MergesPerfAcrossCells) {

@@ -1,10 +1,11 @@
 // Steady-state allocation regression tests for the kernel scratch layer:
-// once warmed up, KernelScratch::gather and DemandCache::refresh must
-// perform zero heap allocations per call — including under the engine's
-// swap-pop slot shuffling, which used to make DemandCache's per-slot
-// remaining-bits vectors reallocate whenever a large coflow landed in a
-// slot that last held a small one — and a round of interleaved policy
-// allocate() calls must not allocate more than the previous round.
+// once warmed up, KernelScratch::gather, DemandCache::refresh,
+// WaterfillKernel::solve and ResidualBackfill::run must perform zero heap
+// allocations per call — including under the engine's swap-pop slot
+// shuffling, which used to make DemandCache's per-slot remaining-bits
+// vectors reallocate whenever a large coflow landed in a slot that last
+// held a small one — and a round of interleaved policy allocate() calls
+// must not allocate more than the previous round.
 //
 // The whole binary's global operator new/delete are replaced with
 // counting malloc/free wrappers (this test gets its own executable for
@@ -24,6 +25,7 @@
 
 #include "alloc/demand_cache.h"
 #include "alloc/kernel_scratch.h"
+#include "alloc/waterfill.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "core/registry.h"
@@ -176,6 +178,73 @@ TEST(ScratchReuse, DemandCacheRefreshIsAllocationFreeUnderSlotShuffling) {
     EXPECT_GT(cache.drf_progress(snap.input), 0.0);
     std::rotate(snap.input.coflows.begin(),
                 snap.input.coflows.begin() + 1, snap.input.coflows.end());
+  }
+}
+
+TEST(ScratchReuse, WaterfillSolveAllocatesNothingOnceWarm) {
+  const Fabric fabric(16, gbps(1.0));
+  // Many pair classes (random endpoints) against few (four hot pairs), so
+  // the class columns shrink and regrow between solves.
+  const Trace many_trace = random_trace(fabric, 17, 60, 12);
+  TraceBuilder builder(fabric.num_machines());
+  for (int c = 0; c < 30; ++c) {
+    builder.begin_coflow(0.0);
+    for (int f = 0; f < 8; ++f) {
+      builder.add_flow(f % 2, 2 + (f / 2) % 2, 1e7);
+    }
+  }
+  const Trace few_trace = builder.build();
+  const Snapshot many = snapshot_all_active(fabric, many_trace, false);
+  const Snapshot few = snapshot_all_active(fabric, few_trace, false);
+
+  // One scratch per snapshot keeps both tables valid throughout.
+  KernelScratch many_scratch;
+  KernelScratch few_scratch;
+  const FlowTable& many_table =
+      many_scratch.gather(many.input, nullptr, GatherCounts::kNone);
+  const FlowTable& few_table =
+      few_scratch.gather(few.input, nullptr, GatherCounts::kNone);
+  std::vector<double> capacities;
+  for (LinkId i = 0; i < fabric.num_links(); ++i) {
+    capacities.push_back(fabric.capacity(i));
+  }
+  Rng rng(23);
+  std::vector<double> many_weights(many_table.num_flows);
+  for (double& w : many_weights) w = rng.uniform(0.5, 2.0);
+  std::vector<double> few_weights(few_table.num_flows);
+  for (double& w : few_weights) w = rng.uniform(0.5, 2.0);
+  std::vector<double> rates(
+      std::max(many_table.num_flows, few_table.num_flows));
+
+  WaterfillKernel kernel;
+  ResidualBackfill backfill;
+  const auto solve_all = [&](const FlowTable& table,
+                             const std::vector<double>& weights) {
+    kernel.solve(fabric,
+                 WaterfillProblem{table.num_flows, table.up, table.dn,
+                                  /*weight=*/nullptr},
+                 capacities, /*link_mask=*/nullptr, rates.data());
+    kernel.solve(fabric,
+                 WaterfillProblem{table.num_flows, table.up, table.dn,
+                                  weights.data()},
+                 capacities, /*link_mask=*/nullptr, rates.data());
+    // Start each backfill from empty rates so it fills the whole fabric.
+    std::fill(table.rate, table.rate + table.num_flows, 0.0);
+    backfill.run(fabric, table);
+  };
+  for (int i = 0; i < 2; ++i) {
+    solve_all(many_table, many_weights);
+    solve_all(few_table, few_weights);
+  }
+  for (int i = 0; i < 4; ++i) {
+    const bool wide = i % 2 == 0;
+    EXPECT_EQ(count_allocations([&] {
+                solve_all(wide ? many_table : few_table,
+                          wide ? many_weights : few_weights);
+              }),
+              0)
+        << "solve " << i;
+    EXPECT_GT(rates[0], 0.0);
   }
 }
 
