@@ -115,8 +115,9 @@ void run_event_replay(benchmark::State& state, bool incremental) {
   Workbench bench(coflows, /*max_flows_per_coflow=*/64);
   const std::vector<ActiveCoflow> pristine = bench.input.coflows;
 
-  NcDrfScheduler scheduler(NcDrfOptions{
-      .incremental = incremental, .verify_incremental = false});
+  // The from-scratch arm never calls on_reset(), so every allocate()
+  // rebuilds from the snapshot.
+  NcDrfScheduler scheduler(NcDrfOptions{.verify_incremental = false});
   if (incremental) {
     scheduler.on_reset(bench.fabric);
     for (const ActiveCoflow& c : bench.input.coflows) {

@@ -50,22 +50,15 @@ class KernelScheduler : public Scheduler {
   }
 
   void on_coflow_arrival(const ActiveCoflow& coflow) override {
-    if (!event_driven_) return;
-    perf_.links_touched +=
-        static_cast<long long>(state_.add_coflow(coflow));
-    ++perf_.arrival_events;
+    if (event_driven_) track_arrival(coflow);
   }
 
   void on_flow_finish(const ActiveFlow& flow) override {
-    if (!event_driven_) return;
-    perf_.links_touched += static_cast<long long>(state_.finish_flow(flow));
-    ++perf_.flow_finish_events;
+    if (event_driven_) track_finish(flow);
   }
 
   void on_coflow_departure(CoflowId id) override {
-    if (!event_driven_) return;
-    perf_.links_touched += static_cast<long long>(state_.remove_coflow(id));
-    ++perf_.departure_events;
+    if (event_driven_) track_departure(id);
   }
 
   const SchedPerf* perf_counters() const override { return &perf_; }
@@ -73,6 +66,30 @@ class KernelScheduler : public Scheduler {
  protected:
   explicit KernelScheduler(bool count_finished_flows)
       : state_(count_finished_flows) {}
+
+  // The hooks' work: one delta applied to state_ and counted in perf_.
+  // Each hands back the coflow's entry (a departure, the removed one) to
+  // subclasses that keep derived state on top of the counts.
+  const LinkLoadState::CoflowLoad& track_arrival(const ActiveCoflow& coflow) {
+    const LinkLoadState::CoflowLoad& load = state_.add_coflow(coflow);
+    perf_.links_touched += static_cast<long long>(load.touched.size());
+    ++perf_.arrival_events;
+    return load;
+  }
+
+  const LinkLoadState::CoflowLoad& track_finish(const ActiveFlow& flow) {
+    const LinkLoadState::CoflowLoad& load = state_.finish_flow(flow);
+    perf_.links_touched += 2;  // uplink + downlink
+    ++perf_.flow_finish_events;
+    return load;
+  }
+
+  LinkLoadState::CoflowLoad track_departure(CoflowId id) {
+    LinkLoadState::CoflowLoad load = state_.remove_coflow(id);
+    perf_.links_touched += static_cast<long long>(load.touched.size());
+    ++perf_.departure_events;
+    return load;
+  }
 
   // Brings state_ in line with the snapshot: serves from event-maintained
   // state when it provably covers `input`, otherwise adopts the snapshot

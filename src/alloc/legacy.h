@@ -24,9 +24,9 @@ namespace ncdrf {
 
 // Allocates `input` under the pre-refactor implementation of the registry
 // policy `name`. Supports every registry name except the ncdrf family
-// (whose from-scratch twin is NcDrfOptions{.incremental = false}, already
-// cross-checked by the property suite): tcp, persource, perpair, psp,
-// psp-live, drf, hug, aalo, varys, baraat, fifo.
+// (whose from-scratch twin is an NcDrfScheduler that never receives
+// on_reset(), already cross-checked by the property suite): tcp,
+// persource, perpair, psp, psp-live, drf, hug, aalo, varys, baraat, fifo.
 Allocation legacy_allocate(const std::string& name,
                            const ScheduleInput& input);
 

@@ -1,6 +1,7 @@
 #include "alloc/link_state.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 
@@ -44,12 +45,13 @@ void LinkLoadState::apply_flow(CoflowLoad& cs, MachineId src, MachineId dst,
   }
 }
 
-std::size_t LinkLoadState::add_coflow(const ActiveCoflow& coflow) {
+const LinkLoadState::CoflowLoad& LinkLoadState::add_coflow(
+    const ActiveCoflow& coflow) {
   NCDRF_CHECK(bound(), "LinkLoadState used before reset()");
   NCDRF_CHECK(coflow.weight > 0.0, "coflow weights must be positive");
-  NCDRF_CHECK(coflows_.find(coflow.id) == coflows_.end(),
-              "duplicate coflow arrival");
-  CoflowLoad& cs = coflows_[coflow.id];
+  const auto [it, inserted] = coflows_.try_emplace(coflow.id);
+  NCDRF_CHECK(inserted, "duplicate coflow arrival");
+  CoflowLoad& cs = it->second;
   cs.weight = coflow.weight;
   const auto links = static_cast<std::size_t>(fabric_->num_links());
   cs.counted.assign(links, 0);
@@ -74,32 +76,47 @@ std::size_t LinkLoadState::add_coflow(const ActiveCoflow& coflow) {
       }
     }
   }
-  return cs.touched.size();
+  for (const LinkId l : cs.touched) {
+    cs.bottleneck = std::max(cs.bottleneck, cs.counted[index(l)]);
+  }
+  return cs;
 }
 
-std::size_t LinkLoadState::finish_flow(const ActiveFlow& flow) {
+const LinkLoadState::CoflowLoad& LinkLoadState::finish_flow(
+    const ActiveFlow& flow) {
   NCDRF_CHECK(bound(), "LinkLoadState used before reset()");
   const auto it = coflows_.find(flow.coflow);
   NCDRF_CHECK(it != coflows_.end(), "flow finish for untracked coflow");
-  NCDRF_CHECK(it->second.live_flows > 0, "flow finish with no live flows");
-  apply_flow(it->second, flow.src, flow.dst, -1,
-             count_finished_flows_ ? 0 : -1);
-  return 2;  // uplink + downlink (always distinct link ids)
+  CoflowLoad& cs = it->second;
+  NCDRF_CHECK(cs.live_flows > 0, "flow finish with no live flows");
+  apply_flow(cs, flow.src, flow.dst, -1, count_finished_flows_ ? 0 : -1);
+  if (count_finished_flows_) return cs;
+  // Two counts fell by one, so n̄_k can only have fallen if one of them
+  // sat at it.
+  const std::size_t u = index(fabric_->uplink(flow.src));
+  const std::size_t d = index(fabric_->downlink(flow.dst));
+  if (cs.counted[u] + 1 == cs.bottleneck ||
+      cs.counted[d] + 1 == cs.bottleneck) {
+    int fresh = 0;
+    for (const LinkId l : cs.touched) {
+      fresh = std::max(fresh, cs.counted[index(l)]);
+    }
+    cs.bottleneck = fresh;
+  }
+  return cs;
 }
 
-std::size_t LinkLoadState::remove_coflow(CoflowId id) {
+LinkLoadState::CoflowLoad LinkLoadState::remove_coflow(CoflowId id) {
   NCDRF_CHECK(bound(), "LinkLoadState used before reset()");
-  const auto it = coflows_.find(id);
-  NCDRF_CHECK(it != coflows_.end(), "departure for untracked coflow");
-  const CoflowLoad& cs = it->second;
+  auto node = coflows_.extract(id);
+  NCDRF_CHECK(!node.empty(), "departure for untracked coflow");
+  CoflowLoad& cs = node.mapped();
   for (const LinkId l : cs.touched) {
     const std::size_t i = index(l);
     live_link_counts_[i] -= cs.live[i];
     if (cs.counted[i] > 0) counted_coflows_on_link_[i] -= 1;
   }
-  const std::size_t touched = cs.touched.size();
-  coflows_.erase(it);
-  return touched;
+  return std::move(cs);
 }
 
 void LinkLoadState::rebuild(const ScheduleInput& input) {
@@ -141,6 +158,8 @@ void LinkLoadState::check_consistent(const ScheduleInput& input) const {
     NCDRF_CHECK(it != coflows_.end(), "coflow missing from tracked state");
     const CoflowLoad& mine = it->second;
     NCDRF_CHECK(mine.weight == cs.weight, "coflow weight diverged");
+    NCDRF_CHECK(mine.bottleneck == cs.bottleneck,
+                "coflow bottleneck diverged from rebuild");
     NCDRF_CHECK(mine.live_flows == cs.live_flows &&
                     mine.counted_flows == cs.counted_flows,
                 "coflow flow totals diverged from rebuild");

@@ -1,17 +1,18 @@
-// Persistent per-coflow per-link flow-count state shared by the baseline
-// schedulers (the allocation-kernel layer's answer to the dense
-// num_coflows × num_links matrices PS-P, HUG, Baraat, Aalo and FIFO used
-// to rebuild on every allocate() call).
+// Persistent per-coflow per-link flow-count state shared by every
+// kernel-backed scheduler (the allocation-kernel layer's answer to the
+// dense num_coflows × num_links matrices PS-P, HUG, Baraat, Aalo, FIFO and
+// NC-DRF used to rebuild on every allocate() call).
 //
-// The state mirrors core/incremental's IncrementalNcDrfState but tracks
-// only integer quantities, so the incremental path is *exact*: a sequence
-// of delta updates always reproduces what a from-scratch rebuild of the
-// same snapshot would produce, bit for bit. Tracked per coflow k:
+// The state tracks only integer quantities, so the incremental path is
+// *exact*: a sequence of delta updates always reproduces what a
+// from-scratch rebuild of the same snapshot would produce, bit for bit.
+// Tracked per coflow k:
 //
 //   * counted[i] — flows of k on link i, including finished flows when
-//     `count_finished_flows` (PS-P's "stale" presence semantics);
+//     `count_finished_flows` (PS-P's and NC-DRF's "stale" semantics);
 //   * live[i]    — unfinished flows of k on link i (what HUG, Baraat,
 //     Aalo and FIFO divide by);
+//   * bottleneck — n̄_k = max_i counted[i], Algorithm 1's divisor;
 //   * touched    — links where counted[i] ever became positive, so
 //     per-coflow sweeps cost O(links the coflow uses), not O(links).
 //
@@ -37,6 +38,7 @@ class LinkLoadState {
   // Per-coflow link loads, exposed read-only to the policies.
   struct CoflowLoad {
     double weight = 1.0;
+    int bottleneck = 0;     // n̄_k = max_i counted[i]
     int live_flows = 0;     // |unfinished flows|
     int counted_flows = 0;  // flows contributing to `counted`
     std::vector<int> counted;     // includes finished flows when stale
@@ -53,11 +55,15 @@ class LinkLoadState {
   // Forgets all tracked coflows and binds the state to `fabric`.
   void reset(const Fabric& fabric);
 
-  // Delta updates. Each returns the number of per-link state entries it
-  // wrote — the "links touched" the perf layer reports.
-  std::size_t add_coflow(const ActiveCoflow& coflow);
-  std::size_t finish_flow(const ActiveFlow& flow);
-  std::size_t remove_coflow(CoflowId id);
+  // Delta updates. Each hands back the coflow's entry as the update left
+  // it, and a departure the entry it removed, so a policy keeping derived
+  // state on top of the counts needs no second lookup. An arrival or a
+  // departure writes the entry's `touched` links, a finish its two.
+  // n̄_k is set at arrival and, under live counting, recomputed by a
+  // finish only when a decremented link sat at it.
+  const CoflowLoad& add_coflow(const ActiveCoflow& coflow);
+  const CoflowLoad& finish_flow(const ActiveFlow& flow);
+  CoflowLoad remove_coflow(CoflowId id);
 
   // Full from-scratch rebuild; also adopts snapshots from drivers that
   // never deliver events.
@@ -88,6 +94,7 @@ class LinkLoadState {
 
   std::size_t num_coflows() const { return coflows_.size(); }
   bool bound() const { return fabric_ != nullptr; }
+  const Fabric& fabric() const { return *fabric_; }
   bool count_finished_flows() const { return count_finished_flows_; }
 
   // Debug oracle: every tracked quantity must equal a fresh rebuild of

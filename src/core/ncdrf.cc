@@ -32,10 +32,31 @@ std::vector<int> coflow_link_counts(const Fabric& fabric,
   return counts;
 }
 
+// Tolerance for the weighted sums' agreement with a rebuild; integer state
+// must match exactly. Scaled by magnitude so big clusters (load ~ K) and
+// raw capacities (~1e9 bps) are judged relatively.
+bool near(double a, double b) {
+  return std::abs(a - b) <=
+         1e-9 * std::max({1.0, std::abs(a), std::abs(b)});
+}
+
+// Adds coflow `cs`'s terms w·n^i/n̄ and w·live^i/n̄ over its touched links.
+// Dividing per link (not by a precomputed w/n̄) keeps a rebuild bitwise
+// equal to flow_count_progress's full scan.
+void add_shares(const LinkLoadState::CoflowLoad& cs, std::vector<double>& load,
+                std::vector<double>& usage) {
+  if (cs.bottleneck <= 0) return;
+  for (const LinkId l : cs.touched) {
+    const auto i = static_cast<std::size_t>(l);
+    load[i] += cs.weight * cs.counted[i] / cs.bottleneck;
+    usage[i] += cs.weight * cs.live[i] / cs.bottleneck;
+  }
+}
+
 }  // namespace
 
 NcDrfScheduler::NcDrfScheduler(NcDrfOptions options)
-    : options_(options), state_(options.count_finished_flows) {
+    : KernelScheduler(options.count_finished_flows), options_(options) {
   NCDRF_CHECK(options_.backfill_rounds >= 0,
               "backfill rounds must be non-negative");
 }
@@ -66,11 +87,6 @@ double NcDrfScheduler::flow_count_progress(const ScheduleInput& input,
   return std::isfinite(p_star) ? p_star : 0.0;
 }
 
-void NcDrfScheduler::on_reset(const Fabric& fabric) {
-  state_.reset(fabric);
-  event_driven_ = true;
-}
-
 void NcDrfScheduler::set_observers(obs::Tracer* tracer,
                                    obs::MetricsRegistry* metrics) {
   tracer_ = tracer;
@@ -84,23 +100,108 @@ void NcDrfScheduler::set_observers(obs::Tracer* tracer,
           : nullptr;
 }
 
+void NcDrfScheduler::on_reset(const Fabric& fabric) {
+  KernelScheduler::on_reset(fabric);
+  load_.assign(static_cast<std::size_t>(fabric.num_links()), 0.0);
+  usage_.assign(load_.size(), 0.0);
+  stale_ = false;
+}
+
 void NcDrfScheduler::on_coflow_arrival(const ActiveCoflow& coflow) {
-  if (!options_.incremental || !event_driven_) return;
-  perf_.links_touched +=
-      static_cast<long long>(state_.add_coflow(coflow));
-  ++perf_.arrival_events;
+  if (!event_driven_) return;
+  add_shares(track_arrival(coflow), load_, usage_);
 }
 
 void NcDrfScheduler::on_flow_finish(const ActiveFlow& flow) {
-  if (!options_.incremental || !event_driven_) return;
-  perf_.links_touched += static_cast<long long>(state_.finish_flow(flow));
-  ++perf_.flow_finish_events;
+  if (!event_driven_) return;
+  const LinkLoadState::CoflowLoad& cs = track_finish(flow);
+  const Fabric& fabric = state_.fabric();
+  const auto up = static_cast<std::size_t>(fabric.uplink(flow.src));
+  const auto dn = static_cast<std::size_t>(fabric.downlink(flow.dst));
+  // Under live counting the finish lowered two counts by one, so n̄_k fell
+  // by at most one, and it fell exactly when one of the two now sits at
+  // the new n̄_k.
+  const bool live_counting = !state_.count_finished_flows();
+  const bool shrank = live_counting && (cs.counted[up] == cs.bottleneck ||
+                                        cs.counted[dn] == cs.bottleneck);
+  const int old_bottleneck = shrank ? cs.bottleneck + 1 : cs.bottleneck;
+  const double share = cs.weight / old_bottleneck;
+
+  const std::vector<int>& live = state_.live_link_counts();
+  take_back(usage_, up, share, live[up] > 0);
+  take_back(usage_, dn, share, live[dn] > 0);
+  if (!live_counting) return;
+  // Live counting: the flow leaves n_k too.
+  const std::vector<int>& counted = state_.counted_coflows_on_link();
+  take_back(load_, up, share, counted[up] > 0);
+  take_back(load_, dn, share, counted[dn] > 0);
+  if (!shrank) return;
+  // Rescale this coflow's terms from 1/n̄_old to 1/n̄_new on every link it
+  // touches (all-zero counts make both terms vanish).
+  const double old_inv = 1.0 / old_bottleneck;
+  const double new_inv = cs.bottleneck > 0 ? 1.0 / cs.bottleneck : 0.0;
+  const double rescale = cs.weight * (new_inv - old_inv);
+  for (const LinkId l : cs.touched) {
+    const auto i = static_cast<std::size_t>(l);
+    load_[i] += cs.counted[i] * rescale;
+    usage_[i] += cs.live[i] * rescale;
+  }
 }
 
 void NcDrfScheduler::on_coflow_departure(CoflowId id) {
-  if (!options_.incremental || !event_driven_) return;
-  perf_.links_touched += static_cast<long long>(state_.remove_coflow(id));
-  ++perf_.departure_events;
+  if (!event_driven_) return;
+  const LinkLoadState::CoflowLoad cs = track_departure(id);
+  if (state_.num_coflows() == 0) {
+    // Flush accumulated rounding residue whenever the fabric drains, so
+    // drift cannot build up across scheduling epochs.
+    std::fill(load_.begin(), load_.end(), 0.0);
+    std::fill(usage_.begin(), usage_.end(), 0.0);
+    stale_ = false;
+    return;
+  }
+  if (cs.bottleneck <= 0) return;
+  const std::vector<int>& live = state_.live_link_counts();
+  const std::vector<int>& counted = state_.counted_coflows_on_link();
+  for (const LinkId l : cs.touched) {
+    const auto i = static_cast<std::size_t>(l);
+    take_back(load_, i, cs.weight * cs.counted[i] / cs.bottleneck,
+              counted[i] > 0);
+    take_back(usage_, i, cs.weight * cs.live[i] / cs.bottleneck,
+              live[i] > 0);
+  }
+}
+
+void NcDrfScheduler::take_back(std::vector<double>& sums, std::size_t i,
+                               double term, bool occupied) {
+  sums[i] -= term;
+  // What is left is the other flows' terms. Under 1e-6 of the removed one
+  // it has lost most of its digits to cancellation, or all of them (it
+  // reads 0 and P̂* with it), so rebuild rather than trust it.
+  if (occupied && sums[i] < 1e-6 * term) stale_ = true;
+}
+
+void NcDrfScheduler::sum_shares(const ScheduleInput& input,
+                                std::vector<double>& load,
+                                std::vector<double>& usage) const {
+  const auto links = static_cast<std::size_t>(input.fabric->num_links());
+  load.assign(links, 0.0);
+  usage.assign(links, 0.0);
+  for (const ActiveCoflow& coflow : input.coflows) {
+    add_shares(*state_.find(coflow.id), load, usage);
+  }
+}
+
+void NcDrfScheduler::check_consistent(const ScheduleInput& input) const {
+  state_.check_consistent(input);
+  std::vector<double> load;
+  std::vector<double> usage;
+  sum_shares(input, load, usage);
+  for (std::size_t i = 0; i < load.size(); ++i) {
+    NCDRF_CHECK(near(load_[i], load[i]),
+                "incremental load vector diverged from recompute");
+    NCDRF_CHECK(near(usage_[i], usage[i]),
+                "incremental usage weights diverged from recompute");
+  }
 }
 
 Allocation NcDrfScheduler::allocate(const ScheduleInput& input) {
@@ -111,34 +212,51 @@ Allocation NcDrfScheduler::allocate(const ScheduleInput& input) {
   Allocation alloc;
 
   // Serve from the event-maintained state when it provably covers the
-  // snapshot; otherwise adopt the snapshot with a full O(K·(F+L)) rebuild
-  // (single pass — counts and bottlenecks are computed once and reused for
-  // both P̂* and the per-coflow rates).
-  const bool synced = options_.incremental && event_driven_ &&
-                      state_.matches(input);
+  // snapshot and no hook marked the sums stale; otherwise adopt the
+  // snapshot with a full O(K·(F+L)) rebuild (single pass — counts and
+  // bottlenecks are computed once and reused for both P̂* and the
+  // per-coflow rates).
+  const bool synced = event_driven_ && !stale_ && state_.matches(input);
   NCDRF_TRACE_SPAN(tracer_, obs::EventKind::kNcDrfAlloc, input.now,
                    synced ? 1 : 0,
                    static_cast<std::int64_t>(input.coflows.size()));
   if (synced) {
     ++perf_.incremental_allocs;
     if (options_.verify_incremental) {
-      state_.check_consistent(input);
+      check_consistent(input);
       ++perf_.consistency_checks;
     }
   } else {
     NCDRF_TRACE_SPAN(tracer_, obs::EventKind::kCorrelationBuild, input.now,
                      static_cast<std::int64_t>(input.coflows.size()));
     state_.rebuild(input);
+    sum_shares(input, load_, usage_);
+    stale_ = false;
     ++perf_.full_rebuilds;
   }
+  const Fabric& fabric = *input.fabric;
 
 #if NCDRF_TRACE_ENABLED
   if (tracer_ != nullptr) {
     tracer_->begin(obs::EventKind::kPStarSearch, input.now);
   }
 #endif
-  LinkId bottleneck_link = -1;
-  const double p_star = state_.p_star(bottleneck_link);
+  // P̂* = min_i C_i / load_i over loaded links (Eq. 5 generalized to
+  // per-link capacities); 0 when nothing is loaded. The arg-min link tags
+  // the span.
+  [[maybe_unused]] LinkId bottleneck_link = -1;
+  double p_star = std::numeric_limits<double>::infinity();
+  for (LinkId i = 0; i < fabric.num_links(); ++i) {
+    const auto idx = static_cast<std::size_t>(i);
+    if (load_[idx] > 0.0) {
+      const double bound = fabric.capacity(i) / load_[idx];
+      if (bound < p_star) {
+        p_star = bound;
+        bottleneck_link = i;
+      }
+    }
+  }
+  if (!std::isfinite(p_star)) p_star = 0.0;
 #if NCDRF_TRACE_ENABLED
   if (tracer_ != nullptr) {
     tracer_->end(obs::EventKind::kPStarSearch, input.now, bottleneck_link,
@@ -154,7 +272,6 @@ Allocation NcDrfScheduler::allocate(const ScheduleInput& input) {
   // lets the base DRF rate and the first backfill round land in a single
   // O(flows) pass below — set_rate(r_k + w) is bitwise identical to
   // set_rate(r_k) followed by add_rate(w).
-  const Fabric& fabric = *input.fabric;
   bool any_spare = false;
   const bool backfilling =
       options_.work_conserving && options_.backfill_rounds > 0;
@@ -169,11 +286,12 @@ Allocation NcDrfScheduler::allocate(const ScheduleInput& input) {
     }
 #endif
     backfill_start = std::chrono::steady_clock::now();
-    state_.residual_capacity(p_star, residual_);
+    residual_.resize(usage_.size());
     const std::vector<int>& counts = state_.live_link_counts();
     for (LinkId i = 0; i < fabric.num_links(); ++i) {
       const auto idx = static_cast<std::size_t>(i);
-      const double unused = std::max(residual_[idx], 0.0);
+      const double unused =
+          std::max(fabric.capacity(i) - p_star * usage_[idx], 0.0);
       if (counts[idx] > 0 && unused > 0.0) {
         residual_[idx] = unused / counts[idx];
         any_spare = true;
@@ -189,7 +307,9 @@ Allocation NcDrfScheduler::allocate(const ScheduleInput& input) {
   alloc.reserve(static_cast<std::size_t>(live_flows_hint(input)));
   for (const ActiveCoflow& coflow : input.coflows) {
     if (coflow.flows.empty()) continue;
-    const double r_k = state_.rate_bps(coflow.id, p_star);
+    const LinkLoadState::CoflowLoad& cs = *state_.find(coflow.id);
+    const double r_k =
+        cs.bottleneck > 0 ? cs.weight * p_star / cs.bottleneck : 0.0;
     if (any_spare) {
       for (const ActiveFlow& f : coflow.flows) {
         const double w = std::min(

@@ -27,14 +27,18 @@
 // Online operation (NC-DRFOnline): the driver re-invokes allocate() on
 // every coflow arrival/departure — and, in this implementation, on every
 // flow completion, since finished flows leave the active snapshot and
-// change the observable flow counts. With the default incremental engine
-// the scheduler additionally asks event-driven drivers for delta
-// notifications (Scheduler::wants_events) and serves each allocate() from
-// persistent per-coflow state (IncrementalNcDrfState) instead of rescanning
-// the snapshot — O(links + flows) per event instead of O(K·(F+L)).
+// change the observable flow counts. As a KernelScheduler it takes the
+// event hooks: the kernel layer's LinkLoadState keeps the exact integer
+// counts n_k^i and bottlenecks n̄_k, and the hooks keep the two weighted
+// per-link sums P̂* and backfilling need, so allocate() costs
+// O(links + flows) per event instead of O(K·(F+L)). A scheduler that never
+// receives on_reset() rebuilds from every snapshot: the from-scratch
+// reference path.
 #pragma once
 
-#include "core/incremental.h"
+#include <vector>
+
+#include "alloc/kernel_scheduler.h"
 #include "obs/perf.h"
 #include "sched/scheduler.h"
 
@@ -72,24 +76,13 @@ struct NcDrfOptions {
   // registry as "ncdrf-live". bench_ablation_counting quantifies the gap.
   bool count_finished_flows = true;
 
-  // Event-driven incremental engine. When true the scheduler accepts delta
-  // notifications (on_coflow_arrival / on_flow_finish /
-  // on_coflow_departure) and keeps the per-link count vectors, bottlenecks
-  // and the global load vector as persistent state, updated in O(links
-  // touched) per event. allocate() falls back to a full snapshot rebuild
-  // whenever the tracked state does not cover the input (e.g. drivers that
-  // never deliver events), so this flag changes cost, never results beyond
-  // last-ulp rounding. "ncdrf-scratch" in the registry pins it off for
-  // A/B measurement.
-  bool incremental = true;
-
   // Cross-check every incremental allocate() against a from-scratch
   // recompute (integers exactly, doubles within 1e-9 relative) via
   // NCDRF_CHECK. Defaults on in Debug builds, off in optimized builds.
   bool verify_incremental = kVerifyIncrementalDefault;
 };
 
-class NcDrfScheduler : public Scheduler {
+class NcDrfScheduler : public KernelScheduler {
  public:
   explicit NcDrfScheduler(NcDrfOptions options = {});
 
@@ -100,12 +93,12 @@ class NcDrfScheduler : public Scheduler {
 
   // Algorithm 1's allocBandwidth + backfilling for one snapshot. The
   // online procedure is this function re-run at every arrival/departure;
-  // with delta notifications it reuses the incrementally maintained state,
+  // with delta notifications it reuses the event-maintained state,
   // otherwise it rebuilds from the snapshot (the from-scratch path).
   Allocation allocate(const ScheduleInput& input) override;
 
-  // Event-driven interface: deltas keep IncrementalNcDrfState in sync.
-  bool wants_events() const override { return options_.incremental; }
+  // Event hooks: the base's LinkLoadState delta, then the coflow's terms
+  // in the two weighted sums below.
   void on_reset(const Fabric& fabric) override;
   void on_coflow_arrival(const ActiveCoflow& coflow) override;
   void on_flow_finish(const ActiveFlow& flow) override;
@@ -120,7 +113,6 @@ class NcDrfScheduler : public Scheduler {
   // Perf counters accumulated since construction; callers may reset().
   const SchedPerf& perf() const { return perf_; }
   SchedPerf& perf() { return perf_; }
-  const SchedPerf* perf_counters() const override { return &perf_; }
 
   // Observability: allocate() emits nested spans (ncdrf_alloc →
   // correlation_build / p_star_search / backfill) to `tracer` and feeds
@@ -129,13 +121,28 @@ class NcDrfScheduler : public Scheduler {
                      obs::MetricsRegistry* metrics) override;
 
  private:
+  // Subtracts `term` from sums[i]; marks the sums stale when the link
+  // still carries flows (`occupied`) yet keeps under 1e-6 of the term.
+  void take_back(std::vector<double>& sums, std::size_t i, double term,
+                 bool occupied);
+  // Both sums from state_ in snapshot order: the rebuild path, and the
+  // reference the Debug check compares the event-maintained sums with.
+  void sum_shares(const ScheduleInput& input, std::vector<double>& load,
+                  std::vector<double>& usage) const;
+  void check_consistent(const ScheduleInput& input) const;
+
   NcDrfOptions options_;
-  IncrementalNcDrfState state_;
-  // True once a driver committed to delta delivery (on_reset); until then
-  // every allocate() rebuilds, preserving pre-incremental behaviour.
-  bool event_driven_ = false;
+  // Per link i: load_ = Σ_k w_k·n_k^i/n̄_k (the denominator of P̂*) and
+  // usage_ = Σ_k w_k·live_k^i/n̄_k (post-DRF link usage once multiplied by
+  // P̂*). Hooks update them in O(links touched); they accumulate deltas,
+  // so they may drift from a rebuild by a few ulps per event.
+  std::vector<double> load_;
+  std::vector<double> usage_;
+  // Set when a hook's subtraction cancelled the surviving terms into
+  // rounding noise (weights 1e12 and 1e-12 on one link); the next
+  // allocate() then rebuilds.
+  bool stale_ = false;
   std::vector<double> residual_;  // scratch for the backfilling budget
-  SchedPerf perf_;
   obs::Tracer* tracer_ = nullptr;
   obs::Histogram* alloc_latency_ = nullptr;
 };

@@ -37,8 +37,7 @@ std::unique_ptr<Scheduler> make_scheduler(const std::string& name,
   const auto serial_only = [&](const char* policy) {
     NCDRF_CHECK(options.shards <= 1,
                 std::string(policy) +
-                    " runs the incremental core engine and has no sharded "
-                    "path; use shards == 1");
+                    " has no sharded path; use shards == 1");
   };
   if (name == "ncdrf") {
     serial_only("ncdrf");
@@ -48,14 +47,6 @@ std::unique_ptr<Scheduler> make_scheduler(const std::string& name,
     serial_only("ncdrf-live");
     return std::make_unique<NcDrfScheduler>(
         NcDrfOptions{.count_finished_flows = false});
-  }
-  if (name == "ncdrf-scratch") {
-    // Incremental engine pinned off: every allocate() rescans the
-    // snapshot. Same results as "ncdrf" (within fp rounding); kept for
-    // A/B perf measurement and as a cross-check in the property suite.
-    serial_only("ncdrf-scratch");
-    return std::make_unique<NcDrfScheduler>(
-        NcDrfOptions{.incremental = false});
   }
   if (name == "psp-live") {
     return std::make_unique<PspScheduler>(
@@ -94,9 +85,9 @@ std::unique_ptr<Scheduler> make_scheduler(const std::string& name,
 }
 
 std::vector<std::string> scheduler_names() {
-  return {"tcp",   "persource",  "perpair",       "psp",   "psp-live",
-          "ncdrf", "ncdrf-live", "ncdrf-scratch", "drf",   "hug",
-          "aalo",  "varys",      "baraat",        "fifo",  "karma"};
+  return {"tcp",   "persource",  "perpair", "psp",  "psp-live",
+          "ncdrf", "ncdrf-live", "drf",     "hug",  "aalo",
+          "varys", "baraat",     "fifo",    "karma"};
 }
 
 }  // namespace ncdrf

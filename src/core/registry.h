@@ -28,7 +28,7 @@ namespace ncdrf {
 // Any kernel-backed name takes an optional "@N" suffix ("drf@4",
 // "fifo@8") selecting the sharded execution path with N link shards —
 // shorthand for the SchedulerOptions overload below. The ncdrf* policies
-// run the incremental core engine and accept only N == 1.
+// and karma have no sharded path and accept only N == 1.
 // Throws CheckError on an unknown name.
 std::unique_ptr<Scheduler> make_scheduler(const std::string& name);
 

@@ -3,8 +3,8 @@
 // scale) to its frozen pre-refactor implementation (alloc/legacy.h), on
 // bare snapshots AND through the event-driven incremental path, across
 // hundreds of seeded random instances. The NC-DRF family — which has no
-// legacy twin in alloc/ — is cross-checked against its own from-scratch
-// variant ("ncdrf-scratch" / NcDrfOptions{.incremental = false}).
+// legacy twin in alloc/ — is cross-checked through the same churn against
+// a from-scratch twin that never receives the event hooks.
 #include <algorithm>
 #include <memory>
 #include <string>
@@ -297,26 +297,46 @@ TEST(AllocGoldenTest, PriorityQueueChurnMatchesRebuildBitwise) {
   }
 }
 
+// NC-DRF keeps floating-point sums across events, so its event-driven
+// path may drift from a rebuild by a few ulps: each family member is
+// driven through the same churn as above with its Debug consistency check
+// on, and compared every step, within 1e-9, to a twin that never receives
+// on_reset() and so rebuilds from every snapshot.
 TEST(AllocGoldenTest, NcDrfFamilyMatchesFromScratchTwin) {
-  for (int seed = 0; seed < kBareSeeds; ++seed) {
-    Rng rng(static_cast<std::uint64_t>(seed) * 2221u + 5u);
-    GoldenWorld world(rng);
-    {
-      auto incremental = make_scheduler("ncdrf");
-      auto scratch = make_scheduler("ncdrf-scratch");
-      expect_allocations_match(
-          world.input(), incremental->allocate(world.input()),
-          scratch->allocate(world.input()),
-          "ncdrf vs ncdrf-scratch seed " + std::to_string(seed));
-    }
-    {
-      auto live = make_scheduler("ncdrf-live");
-      NcDrfScheduler live_scratch(NcDrfOptions{
-          .count_finished_flows = false, .incremental = false});
-      expect_allocations_match(
-          world.input(), live->allocate(world.input()),
-          live_scratch.allocate(world.input()),
-          "ncdrf-live vs scratch twin seed " + std::to_string(seed));
+  for (const bool stale : {true, false}) {
+    const std::string name = stale ? "ncdrf" : "ncdrf-live";
+    for (int seed = 0; seed < kBareSeeds; ++seed) {
+      Rng rng(static_cast<std::uint64_t>(seed) * 2221u + 5u);
+      GoldenWorld world(rng);
+      const NcDrfOptions options{.count_finished_flows = stale,
+                                 .verify_incremental = true};
+      NcDrfScheduler hooked(options);
+      NcDrfScheduler scratch(options);
+      hooked.on_reset(world.fabric());
+      for (const ActiveCoflow& view : world.input().coflows) {
+        hooked.on_coflow_arrival(view);
+      }
+      for (int step = 0; step < kEventSteps && !world.empty(); ++step) {
+        expect_allocations_match(world.input(),
+                                 hooked.allocate(world.input()),
+                                 scratch.allocate(world.input()),
+                                 name + " seed " + std::to_string(seed) +
+                                     " step " + std::to_string(step));
+        world.advance_service();
+        if (rng.bernoulli(0.3)) {
+          hooked.on_coflow_arrival(world.add_coflow());
+        }
+        if (!world.empty() && rng.bernoulli(0.9)) {
+          world.finish_random_flow(&hooked);
+        }
+      }
+      EXPECT_EQ(hooked.perf().full_rebuilds, 0)
+          << name << " seed " << seed
+          << ": churn run fell back to snapshot rebuilds";
+      EXPECT_EQ(hooked.perf().consistency_checks,
+                hooked.perf().incremental_allocs)
+          << name << " seed " << seed;
+      EXPECT_EQ(scratch.perf().incremental_allocs, 0) << name;
     }
   }
 }

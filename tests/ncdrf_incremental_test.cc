@@ -3,9 +3,9 @@
 //     hooks (arrival / flow finish / departure) yields the same allocation
 //     as a from-scratch allocate() at every step, in both counting modes,
 //     with and without backfilling, on heterogeneous fabrics;
-//   - full-simulation equivalence: "ncdrf" (incremental) and
-//     "ncdrf-scratch" replay identical traces to identical CCTs and event
-//     counts;
+//   - full-simulation equivalence: NC-DRF with and without its event hooks
+//     (HooklessScheduler) replays identical traces to identical CCTs and
+//     event counts, extreme coflow weights included;
 //   - the debug consistency check (incremental state == recompute_full
 //     within 1e-9) stays silent across simulated churn;
 //   - the cached backfill variant matches the rescanning one bitwise;
@@ -20,6 +20,7 @@
 #include "metrics/export.h"
 #include "sched/backfill.h"
 #include "sim/sim.h"
+#include "test_util.h"
 #include "trace/synthetic_fb.h"
 #include "trace/trace.h"
 
@@ -103,12 +104,11 @@ TEST_P(IncrementalEventEquivalence, MatchesFromScratchAtEveryEvent) {
   NcDrfScheduler incremental(
       NcDrfOptions{.work_conserving = m.work_conserving,
                    .count_finished_flows = m.count_finished_flows,
-                   .incremental = true,
                    .verify_incremental = true});
+  // Never hooked, so every allocate() rebuilds from the snapshot.
   NcDrfScheduler scratch(
       NcDrfOptions{.work_conserving = m.work_conserving,
-                   .count_finished_flows = m.count_finished_flows,
-                   .incremental = false});
+                   .count_finished_flows = m.count_finished_flows});
 
   ScheduleInput input;
   input.fabric = &fabric;
@@ -177,9 +177,10 @@ TEST_P(IncrementalSimulationProperty, MatchesFromScratchOverFullRuns) {
   const Trace trace = random_online_trace(rng, 8, 14);
 
   NcDrfScheduler incremental(NcDrfOptions{.verify_incremental = true});
-  NcDrfScheduler scratch(NcDrfOptions{.incremental = false});
+  NcDrfScheduler scratch;
+  testing::HooklessScheduler hookless(scratch);
   const RunResult run_inc = simulate(fabric, trace, incremental);
-  const RunResult run_ref = simulate(fabric, trace, scratch);
+  const RunResult run_ref = simulate(fabric, trace, hookless);
 
   ASSERT_EQ(run_inc.coflows.size(), run_ref.coflows.size());
   EXPECT_EQ(run_inc.num_events, run_ref.num_events);
@@ -200,6 +201,43 @@ TEST_P(IncrementalSimulationProperty, MatchesFromScratchOverFullRuns) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalSimulationProperty,
                          ::testing::Range(0, 10));
+
+// Two single-flow coflows share one machine pair, and the heavy one
+// finishes first. Subtracting its term from the per-link sums leaves the
+// light coflow's, which is 1e-24 of it at weights 1e12/1e-12 and so below
+// the sums' rounding error: the sums read 0 (P̂* = 0, no flow gets a rate
+// and simulate() throws on starvation), or at 1e6/1e-6 keep only a few
+// digits. The hooked run must match the from-scratch one instead.
+TEST(IncrementalSimulation, ExtremeWeightsMatchFromScratch) {
+  const Fabric fabric(2, gbps(1.0));
+  for (const double heavy : {1e12, 1e9, 1e6}) {
+    TraceBuilder builder(2);
+    builder.begin_coflow(0.0, heavy);
+    builder.add_flow(0, 1, megabits(10.0));
+    builder.begin_coflow(0.0, 1.0 / heavy);
+    builder.add_flow(0, 1, megabits(1000.0));
+    const Trace trace = builder.build();
+    for (const bool stale : {true, false}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "heavy weight " << heavy << " stale " << stale);
+      NcDrfScheduler hooked(NcDrfOptions{.count_finished_flows = stale,
+                                         .verify_incremental = true});
+      NcDrfScheduler scratch(NcDrfOptions{.count_finished_flows = stale});
+      testing::HooklessScheduler hookless(scratch);
+      RunResult run_hooked;
+      ASSERT_NO_THROW(run_hooked = simulate(fabric, trace, hooked));
+      const RunResult run_ref = simulate(fabric, trace, hookless);
+      EXPECT_NEAR(run_ref.makespan, 1.01, 1e-9);
+      ASSERT_EQ(run_hooked.coflows.size(), run_ref.coflows.size());
+      for (std::size_t k = 0; k < run_ref.coflows.size(); ++k) {
+        EXPECT_NEAR(run_hooked.coflows[k].cct, run_ref.coflows[k].cct,
+                    run_ref.coflows[k].cct * 1e-9)
+            << "coflow " << k;
+      }
+      EXPECT_GT(hooked.perf().incremental_allocs, 0);
+    }
+  }
+}
 
 TEST(IncrementalSimulation, ConsistencyHoldsOnFbTwinChurn) {
   // A slice of the FB-like workload with verification forced on: every

@@ -316,8 +316,7 @@ TEST(SchedPerfTest, EveryCountedBackfillStageIsTimed) {
   std::vector<std::pair<std::string, std::unique_ptr<Scheduler>>> cells;
   for (const std::string& name : scheduler_names()) {
     cells.emplace_back(name, make_scheduler(name));
-    // The ncdrf family and karma run their incremental engine serially
-    // only.
+    // The ncdrf family and karma have no sharded path.
     if (name.rfind("ncdrf", 0) != 0 && name != "karma") {
       cells.emplace_back(name + "@2",
                          make_scheduler(name, SchedulerOptions{.shards = 2}));
@@ -357,7 +356,7 @@ TEST(SweepTest, MergesPerfAcrossCells) {
   options.duration_s = 30.0;
   SweepSpec spec;
   spec.fabric = Fabric(options.num_racks, gbps(1.0));
-  spec.policies = {"ncdrf", "ncdrf-scratch"};
+  spec.policies = {"ncdrf", "ncdrf-live"};
   spec.traces.push_back(SweepCase{"a", generate_synthetic_fb(options)});
   options.seed = 99;
   spec.traces.push_back(SweepCase{"b", generate_synthetic_fb(options)});

@@ -16,11 +16,13 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/units.h"
 #include "core/registry.h"
 #include "sim/sim.h"
+#include "test_util.h"
 
 namespace ncdrf {
 namespace {
@@ -101,7 +103,8 @@ std::uint64_t run_digest(const RunResult& run) {
   return d.value();
 }
 
-// One digest per registry policy; a new policy needs its own pin.
+// One digest per registry policy (a new policy needs its own pin), plus
+// NC-DRF run without its event hooks.
 const std::map<std::string, std::uint64_t>& golden_digests() {
   static const std::map<std::string, std::uint64_t> digests = {
       {"tcp", 0xf245c2804addd92full},
@@ -111,7 +114,6 @@ const std::map<std::string, std::uint64_t>& golden_digests() {
       {"psp-live", 0xad03fdf33d62e62dull},
       {"ncdrf", 0xeb1fa39b67196b44ull},
       {"ncdrf-live", 0xd44f5b6bf2dc1956ull},
-      {"ncdrf-scratch", 0x46abb3aae4976fe1ull},
       {"drf", 0x56c5ad06ea79b0bdull},
       {"hug", 0x5b0bcbe57ef992b0ull},
       {"aalo", 0x98c449f9c329e1e2ull},
@@ -119,6 +121,7 @@ const std::map<std::string, std::uint64_t>& golden_digests() {
       {"baraat", 0x235ce0b7d6af6a48ull},
       {"fifo", 0x441338204320d75bull},
       {"karma", 0x6d33b307c49ae3daull},
+      {"ncdrf (no hooks)", 0x46abb3aae4976fe1ull},
   };
   return digests;
 }
@@ -130,11 +133,16 @@ TEST(RunGolden, EveryPolicyMatchesPinnedDigest) {
   SimOptions options;
   options.record_intervals = true;
   options.record_progress_timeseries = true;
+  std::vector<std::string> names = scheduler_names();
+  names.push_back("ncdrf (no hooks)");
   std::string repin;
-  for (const std::string& name : scheduler_names()) {
+  for (const std::string& name : names) {
     SCOPED_TRACE(name);
-    const auto scheduler = make_scheduler(name);
-    const RunResult run = simulate(fabric, trace, *scheduler, options);
+    const bool hookless = name == "ncdrf (no hooks)";
+    const auto inner = make_scheduler(hookless ? "ncdrf" : name);
+    testing::HooklessScheduler wrapper(*inner);
+    Scheduler& scheduler = hookless ? wrapper : *inner;
+    const RunResult run = simulate(fabric, trace, scheduler, options);
     ASSERT_FALSE(run.intervals.empty());
     const std::uint64_t digest = run_digest(run);
     char line[96];

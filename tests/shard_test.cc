@@ -522,10 +522,9 @@ TEST(ShardRegistry, RejectsMalformedOrUnsupportedSuffixes) {
   EXPECT_THROW(make_scheduler("drf@x4"), CheckError);
   EXPECT_THROW(make_scheduler("drf@0"), CheckError);
   EXPECT_THROW(make_scheduler("@4"), CheckError);
-  // The incremental core engine has no sharded path.
+  // NC-DRF has no sharded path.
   EXPECT_THROW(make_scheduler("ncdrf@4"), CheckError);
   EXPECT_THROW(make_scheduler("ncdrf-live@2"), CheckError);
-  EXPECT_THROW(make_scheduler("ncdrf-scratch@2"), CheckError);
   SchedulerOptions two;
   two.shards = 2;
   EXPECT_THROW(make_scheduler("ncdrf", two), CheckError);

@@ -1,12 +1,13 @@
 // Shared helpers for scheduler and simulator tests: building
-// ScheduleInput snapshots from traces and small inline workloads, plus the
-// cross-policy allocation invariant audit shared by the property and
-// serving tiers.
+// ScheduleInput snapshots from traces and small inline workloads, a
+// hook-hiding scheduler wrapper, plus the cross-policy allocation
+// invariant audit shared by the property and serving tiers.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,6 +16,45 @@
 #include "trace/trace.h"
 
 namespace ncdrf::testing {
+
+// Forwards every Scheduler virtual to `inner` except wants_events(), which
+// reports false, so an event-driven driver hands `inner` bare snapshots
+// only: the from-scratch reference run of a policy that takes the hooks.
+class HooklessScheduler final : public Scheduler {
+ public:
+  explicit HooklessScheduler(Scheduler& inner) : inner_(inner) {}
+
+  std::string name() const override { return inner_.name(); }
+  bool clairvoyant() const override { return inner_.clairvoyant(); }
+  Allocation allocate(const ScheduleInput& input) override {
+    return inner_.allocate(input);
+  }
+  std::optional<double> next_internal_event(
+      const ScheduleInput& input, const Allocation& current) const override {
+    return inner_.next_internal_event(input, current);
+  }
+  void set_observers(obs::Tracer* tracer,
+                     obs::MetricsRegistry* metrics) override {
+    inner_.set_observers(tracer, metrics);
+  }
+  const SchedPerf* perf_counters() const override {
+    return inner_.perf_counters();
+  }
+  bool wants_events() const override { return false; }
+  void on_reset(const Fabric& fabric) override { inner_.on_reset(fabric); }
+  void on_coflow_arrival(const ActiveCoflow& coflow) override {
+    inner_.on_coflow_arrival(coflow);
+  }
+  void on_flow_finish(const ActiveFlow& flow) override {
+    inner_.on_flow_finish(flow);
+  }
+  void on_coflow_departure(CoflowId id) override {
+    inner_.on_coflow_departure(id);
+  }
+
+ private:
+  Scheduler& inner_;
+};
 
 // Snapshot state: remaining bits per flow plus the scheduler view.
 // Heap-held members keep the raw pointers inside `input` stable across
