@@ -1,7 +1,8 @@
 #include "scenario/spec.h"
 
-#include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -106,6 +107,23 @@ void append_fault(std::string& out, const FaultEvent& e) {
 // not silently fall back to a default.
 // ---------------------------------------------------------------------------
 
+// Throws unless the conversion of `token` stopped at its end and `ok` holds.
+void check_number(const std::string& token, const char* end, bool ok) {
+  NCDRF_CHECK(ok && !token.empty() && end == token.c_str() + token.size(),
+              "scenario json: malformed number '" + token + "'");
+}
+
+// An int field or a strategy client key: the whole token, within int.
+int parse_int_token(const std::string& token) {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(token.c_str(), &end, 10);
+  check_number(token, end,
+               errno != ERANGE && v >= std::numeric_limits<int>::min() &&
+                   v <= std::numeric_limits<int>::max());
+  return static_cast<int>(v);
+}
+
 class JsonReader {
  public:
   explicit JsonReader(const std::string& text) : text_(text) {}
@@ -140,14 +158,26 @@ class JsonReader {
     return out;
   }
 
-  double parse_double() { return std::strtod(number_token().c_str(), nullptr); }
-
-  long long parse_int() {
-    return std::strtoll(number_token().c_str(), nullptr, 10);
+  // Numbers convert from their text, so a 64-bit seed keeps every bit, and
+  // each conversion must consume the whole token.
+  double parse_double() {
+    const std::string token = number_token();
+    char* end = nullptr;
+    const double v = std::strtod(token.c_str(), &end);
+    // No ERANGE check: glibc sets it for denormals, which %.17g writes.
+    check_number(token, end, std::isfinite(v));
+    return v;
   }
 
+  int parse_int() { return parse_int_token(number_token()); }
+
   std::uint64_t parse_u64() {
-    return std::strtoull(number_token().c_str(), nullptr, 10);
+    const std::string token = number_token();
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(token.c_str(), &end, 10);
+    check_number(token, end, token[0] != '-' && errno != ERANGE);
+    return v;
   }
 
   bool parse_bool() {
@@ -247,17 +277,17 @@ serve::LoadGenOptions parse_workload(JsonReader& r) {
     if (key == "seed") {
       w.seed = r.parse_u64();
     } else if (key == "num_clients") {
-      w.num_clients = static_cast<int>(r.parse_int());
+      w.num_clients = r.parse_int();
     } else if (key == "num_machines") {
-      w.num_machines = static_cast<int>(r.parse_int());
+      w.num_machines = r.parse_int();
     } else if (key == "arrival_rate_per_s") {
       w.arrival_rate_per_s = r.parse_double();
     } else if (key == "duration_s") {
       w.duration_s = r.parse_double();
     } else if (key == "min_flows_per_coflow") {
-      w.min_flows_per_coflow = static_cast<int>(r.parse_int());
+      w.min_flows_per_coflow = r.parse_int();
     } else if (key == "max_flows_per_coflow") {
-      w.max_flows_per_coflow = static_cast<int>(r.parse_int());
+      w.max_flows_per_coflow = r.parse_int();
     } else if (key == "mean_flow_bits") {
       w.mean_flow_bits = r.parse_double();
     } else if (key == "flow_size_sigma") {
@@ -287,11 +317,11 @@ StrategySpec parse_strategy(JsonReader& r) {
     if (key == "kind") {
       s.kind = r.parse_string();
     } else if (key == "k") {
-      s.k = static_cast<int>(r.parse_int());
+      s.k = r.parse_int();
     } else if (key == "factor") {
-      s.factor = static_cast<int>(r.parse_int());
+      s.factor = r.parse_int();
     } else if (key == "pad") {
-      s.pad = static_cast<int>(r.parse_int());
+      s.pad = r.parse_int();
     } else if (key == "dust_bits") {
       s.dust_bits = r.parse_double();
     } else if (key == "period_s") {
@@ -329,7 +359,7 @@ FaultEvent parse_fault(JsonReader& r) {
     } else if (key == "kind") {
       e.kind = parse_fault_kind(r.parse_string());
     } else if (key == "machine") {
-      e.machine = static_cast<MachineId>(r.parse_int());
+      e.machine = r.parse_int();
     } else if (key == "loss_probability") {
       e.loss_probability = r.parse_double();
     } else {
@@ -338,6 +368,104 @@ FaultEvent parse_fault(JsonReader& r) {
   });
   return e;
 }
+
+// The serve plane's control plane, run by the simulator's engine as its
+// Scheduler: the engine is the one fluid data plane and plays the clients
+// and slaves. An arrival becomes a submission on its client's queue and a
+// flow finish a FlowFinished report. Each allocate() reports the buffered
+// finishes, sends one heartbeat per machine with exact attained bits and
+// steps one epoch at the engine's instant. Every instant carries an
+// arrival or a finish, so the master reallocates exactly once per event,
+// and stateful policies (karma's credit clock) see the same (now, view)
+// sequence as under run_on_sim. The wrapped policy runs on the Master's
+// view, where non-clairvoyant coflows register without sizes.
+class ServeControlPlane final : public Scheduler {
+ public:
+  ServeControlPlane(const Fabric& fabric, Scheduler& policy, int num_clients,
+                    const TransformedWorkload& workload)
+      : policy_(policy),
+        front_(fabric, policy, num_clients, event_aligned_options()),
+        heartbeats_(static_cast<std::size_t>(fabric.num_machines())) {
+    for (MachineId m = 0; m < fabric.num_machines(); ++m) {
+      heartbeats_[static_cast<std::size_t>(m)].machine = m;
+    }
+    std::size_t flows = 0;
+    for (const auto& schedule : workload.per_client) {
+      for (const serve::Submission& s : schedule) {
+        const auto c = static_cast<std::size_t>(s.coflow);
+        if (c >= submissions_.size()) submissions_.resize(c + 1, nullptr);
+        submissions_[c] = &s;
+        flows += s.flows.size();
+      }
+    }
+    size_bits_.assign(flows, 0.0);
+  }
+
+  std::string name() const override { return policy_.name(); }
+  // Asks the engine for remaining bits, which is what the slaves report
+  // in their heartbeats; the Master still hands size estimates only to
+  // clairvoyant policies.
+  bool clairvoyant() const override { return true; }
+  bool wants_events() const override { return true; }
+  long long allocations() const { return front_.allocations(); }
+
+  void on_coflow_arrival(const ActiveCoflow& coflow) override {
+    serve::Submission s = *submissions_[static_cast<std::size_t>(coflow.id)];
+    s.sizes_known = policy_.clairvoyant();
+    s.lifetime_s = 0.0;  // completion-driven retirement only
+    for (const Flow& f : s.flows) {
+      NCDRF_CHECK(f.size_bits > SimOptions{}.completion_epsilon_bits,
+                  "serve equivalence driver needs flows above the "
+                  "completion epsilon");
+      size_bits_[static_cast<std::size_t>(f.id)] = f.size_bits;
+    }
+    NCDRF_CHECK(front_.queue(s.client).try_enqueue(std::move(s)),
+                "unbounded equivalence queue rejected a submission");
+  }
+
+  void on_flow_finish(const ActiveFlow& flow) override {
+    finished_.push_back(FlowFinishedMsg{flow.id, flow.coflow, 0.0});
+  }
+
+  Allocation allocate(const ScheduleInput& input) override {
+    for (FlowFinishedMsg& msg : finished_) msg.finish_time = input.now;
+    front_.master().on_flows_finished(finished_);
+    finished_.clear();
+    for (HeartbeatMsg& hb : heartbeats_) hb.attained_bits.clear();
+    for (const ActiveCoflow& coflow : input.coflows) {
+      for (const ActiveFlow& f : coflow.flows) {
+        heartbeats_[static_cast<std::size_t>(f.src)].attained_bits.emplace_back(
+            f.id, size_bits_[static_cast<std::size_t>(f.id)] -
+                      input.clairvoyant->remaining_bits(f.id));
+      }
+    }
+    for (const HeartbeatMsg& hb : heartbeats_) {
+      front_.master().on_heartbeat(hb, input.now);
+    }
+    front_.step_epoch(input.now);
+    return front_.last_allocation();
+  }
+
+ private:
+  // One epoch per engine instant, with every queued submission admitted
+  // and nothing shed.
+  static serve::ServeOptions event_aligned_options() {
+    serve::ServeOptions options;
+    options.epoch_s = 1.0;            // nominal: epochs are event-aligned
+    options.max_batch_per_epoch = 0;  // admit everything due at the instant
+    options.queue_capacity = std::numeric_limits<std::size_t>::max() / 4;
+    options.slowdown_watermark = options.queue_capacity;
+    options.shed_watermark = options.queue_capacity;
+    return options;
+  }
+
+  Scheduler& policy_;
+  serve::ServeFront front_;
+  std::vector<HeartbeatMsg> heartbeats_;  // one per machine, reused
+  std::vector<const serve::Submission*> submissions_;  // by coflow id
+  std::vector<double> size_bits_;                      // by flow id
+  std::vector<FlowFinishedMsg> finished_;  // reported at the next allocate
+};
 
 }  // namespace
 
@@ -379,8 +507,7 @@ ScenarioSpec parse_scenario(const std::string& json) {
       spec.workload = parse_workload(r);
     } else if (key == "strategies") {
       r.parse_object([&](const std::string& client) {
-        spec.strategies[static_cast<int>(
-            std::strtoll(client.c_str(), nullptr, 10))] = parse_strategy(r);
+        spec.strategies[parse_int_token(client)] = parse_strategy(r);
       });
     } else if (key == "faults") {
       r.parse_array([&] { spec.faults.add(parse_fault(r)); });
@@ -449,184 +576,17 @@ DeploymentResult run_on_deployment(const ScenarioSpec& spec,
   return run_deployment(fabric, source, *scheduler, opts);
 }
 
-// The serve plane's CCT-equivalence driver: an exact fluid data plane under
-// the real front-end control plane. The loop mirrors src/sim/engine.cc event
-// for event — allocate at every instant where the active set is non-empty
-// (after retire + admit), integrate delivered = min(rate · dt, remaining)
-// between instants, retire at the completion epsilon — so stateful policies
-// (karma's credit clock) see the identical (now, view) sequence on both
-// planes and the equivalence tolerance can be ulp-tight.
 ScenarioRun run_on_serve(const ScenarioSpec& spec) {
-  constexpr double kTimeTolerance = 1e-9;      // engine's admission slack
-  constexpr double kCompletionEpsilonBits = 1.0;  // SimOptions default
-  constexpr double kInfinity = std::numeric_limits<double>::infinity();
-
   ScenarioRun run;
   run.workload = build_workload(spec);
   const Fabric fabric = make_fabric(spec);
   const std::unique_ptr<Scheduler> scheduler = make_scheduler(spec.policy);
-
-  serve::ServeOptions options;
-  options.epoch_s = 1.0;           // nominal: epochs are event-aligned here
-  options.max_batch_per_epoch = 0;  // admit everything due at the instant
-  options.queue_capacity = std::numeric_limits<std::size_t>::max() / 4;
-  options.slowdown_watermark = options.queue_capacity;
-  options.shed_watermark = options.queue_capacity;
-  serve::ServeFront front(fabric, *scheduler, spec.workload.num_clients,
-                          options);
-
-  // Arrival stream in global (time, client) order + dense-id ground truth.
-  std::vector<serve::Submission> arrivals;
-  {
-    VectorSource source(run.workload.transformed.per_client,
-                        spec.workload.num_machines);
-    while (source.peek() != nullptr) arrivals.push_back(source.next());
-  }
-  std::size_t total_flows = 0;
-  for (const serve::Submission& s : arrivals) total_flows += s.flows.size();
-
-  RunResult& result = run.result;
-  result.coflows.resize(arrivals.size());
-  std::vector<double> remaining(total_flows, 0.0);
-  std::vector<double> attained(total_flows, 0.0);
-  std::vector<double> rate(total_flows, 0.0);
-  std::vector<MachineId> src_of(total_flows, -1);
-  std::vector<CoflowId> coflow_of(total_flows, -1);
-  std::vector<int> unfinished(arrivals.size(), 0);
-  std::vector<FlowId> live;
-
-  std::size_t next_arrival = 0;
-  double now = 0.0;
-  std::vector<FlowFinishedMsg> finish_batch;
-  std::vector<HeartbeatMsg> heartbeats(
-      static_cast<std::size_t>(spec.workload.num_machines));
-  for (MachineId m = 0; m < spec.workload.num_machines; ++m) {
-    heartbeats[static_cast<std::size_t>(m)].machine = m;
-  }
-
-  const auto enqueue_due = [&] {
-    while (next_arrival < arrivals.size() &&
-           arrivals[next_arrival].submit_time <= now + kTimeTolerance) {
-      serve::Submission s = arrivals[next_arrival++];
-      s.sizes_known = scheduler->clairvoyant();
-      s.lifetime_s = 0.0;  // completion-driven retirement only
-      const auto c = static_cast<std::size_t>(s.coflow);
-      CoflowRecord& rec = result.coflows[c];
-      rec.id = s.coflow;
-      rec.arrival = s.submit_time;
-      rec.width = static_cast<int>(s.flows.size());
-      std::vector<double> demand(
-          static_cast<std::size_t>(fabric.num_links()), 0.0);
-      for (const Flow& f : s.flows) {
-        NCDRF_CHECK(f.size_bits > kCompletionEpsilonBits,
-                    "serve equivalence driver needs flows above the "
-                    "completion epsilon");
-        const auto idx = static_cast<std::size_t>(f.id);
-        remaining[idx] = f.size_bits;
-        src_of[idx] = f.src;
-        coflow_of[idx] = f.coflow;
-        live.push_back(f.id);
-        ++unfinished[c];
-        rec.total_bits += f.size_bits;
-        rec.max_flow_bits = std::max(rec.max_flow_bits, f.size_bits);
-        demand[static_cast<std::size_t>(fabric.uplink(f.src))] += f.size_bits;
-        demand[static_cast<std::size_t>(fabric.downlink(f.dst))] +=
-            f.size_bits;
-      }
-      for (LinkId l = 0; l < fabric.num_links(); ++l) {
-        rec.min_cct =
-            std::max(rec.min_cct, demand[static_cast<std::size_t>(l)] /
-                                      fabric.capacity(l));
-      }
-      NCDRF_CHECK(
-          front.queue(s.client).try_enqueue(std::move(s)),
-          "unbounded equivalence queue rejected a submission");
-    }
-  };
-
-  enqueue_due();
-  while (!live.empty() || next_arrival < arrivals.size() ||
-         front.backlog() > 0) {
-    if (live.empty() && front.backlog() == 0) {
-      now = arrivals[next_arrival].submit_time;
-      enqueue_due();
-      continue;
-    }
-
-    // Allocate at `now`: exact attained via heartbeats (what the engine's
-    // in-memory view gives clairvoyant policies), then one epoch step —
-    // every instant here carries an arrival or a finish, so the master is
-    // dirty and reallocates exactly once per event.
-    for (HeartbeatMsg& hb : heartbeats) hb.attained_bits.clear();
-    for (const FlowId f : live) {
-      const auto idx = static_cast<std::size_t>(f);
-      heartbeats[static_cast<std::size_t>(src_of[idx])].attained_bits
-          .emplace_back(f, attained[idx]);
-    }
-    for (const HeartbeatMsg& hb : heartbeats) {
-      front.master().on_heartbeat(hb, now);
-    }
-    front.step_epoch(now);
-    const Allocation& alloc = front.last_allocation();
-    for (const FlowId f : live) {
-      rate[static_cast<std::size_t>(f)] = alloc.rate(f);
-    }
-
-    // Next event: earliest completion under these rates, or next arrival.
-    double t_next = kInfinity;
-    for (const FlowId f : live) {
-      const auto idx = static_cast<std::size_t>(f);
-      if (rate[idx] > 0.0) {
-        t_next = std::min(t_next, now + remaining[idx] / rate[idx]);
-      }
-    }
-    if (next_arrival < arrivals.size()) {
-      t_next = std::min(t_next, arrivals[next_arrival].submit_time);
-    }
-    NCDRF_CHECK(std::isfinite(t_next),
-                "starvation: no completion or arrival ahead under scheduler " +
-                    scheduler->name());
-    const double dt = std::max(t_next - now, 0.0);
-    if (dt > 0.0) {
-      for (const FlowId f : live) {
-        const auto idx = static_cast<std::size_t>(f);
-        if (rate[idx] > 0.0) {
-          const double delivered = std::min(rate[idx] * dt, remaining[idx]);
-          remaining[idx] -= delivered;
-          attained[idx] += delivered;
-          result.total_bits_delivered += delivered;
-        }
-      }
-    }
-    now += dt;
-    ++result.num_events;
-
-    // Retire flows at the completion epsilon; coflow completions land at
-    // this instant, exactly like the engine's retire phase.
-    finish_batch.clear();
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      const FlowId f = live[i];
-      const auto idx = static_cast<std::size_t>(f);
-      if (remaining[idx] <= kCompletionEpsilonBits) {
-        finish_batch.push_back(FlowFinishedMsg{f, coflow_of[idx], now});
-        rate[idx] = 0.0;
-        const auto c = static_cast<std::size_t>(coflow_of[idx]);
-        if (--unfinished[c] == 0) {
-          CoflowRecord& rec = result.coflows[c];
-          rec.completion = now;
-          rec.cct = now - rec.arrival;
-          result.makespan = std::max(result.makespan, now);
-        }
-      } else {
-        live[kept++] = f;
-      }
-    }
-    live.resize(kept);
-    if (!finish_batch.empty()) front.master().on_flows_finished(finish_batch);
-    enqueue_due();
-  }
-  result.num_allocations = front.allocations();
+  ServeControlPlane plane(fabric, *scheduler, spec.workload.num_clients,
+                          run.workload.transformed);
+  VectorSource source(run.workload.transformed.per_client,
+                      spec.workload.num_machines);
+  run.result = simulate(fabric, source, plane);
+  run.result.num_allocations = plane.allocations();
   return run;
 }
 

@@ -11,10 +11,11 @@
 //
 // Plane semantics:
 //   * run_on_sim       — simulate() over the transformed workload;
-//   * run_on_serve     — ServeFront stepped at every arrival/completion
-//     instant with an exact fluid data plane ("epoch=1": one admission
-//     batch per event, rates integrated analytically between events, the
-//     same event batching as the simulator) — the CCT-equivalence mode;
+//   * run_on_serve     — the same simulate() call with a ServeFront as
+//     the control plane: the engine plays the clients and slaves, and every
+//     arrival/completion instant sends the finishes and one heartbeat per
+//     machine and steps one epoch that admits every due submission
+//     ("epoch=1") — the CCT-equivalence mode;
 //   * run_on_deployment — run_deployment() with spec.faults (discrete
 //     ticks, control latency; CCTs quantized to the tick).
 #pragma once

@@ -546,7 +546,8 @@ TEST(ServeFront, SubmissionStampedAfterEpochNowRecordsZeroLatency) {
       ++instants;
     }
   }
-  EXPECT_EQ(instants, 2);
+  // Builds without tracing compile the instants away.
+  EXPECT_EQ(instants, NCDRF_TRACE_ENABLED ? 2 : 0);
 }
 
 // ---------------------------------------------------------------------
