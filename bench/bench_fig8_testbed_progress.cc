@@ -10,7 +10,7 @@
 
 #include "bench_util.h"
 #include "cluster/deployment.h"
-#include "obs/audit.h"
+#include "sim/audit.h"
 #include "trace/microbench.h"
 
 int main() {

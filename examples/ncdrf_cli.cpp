@@ -31,9 +31,9 @@
 #include "core/registry.h"
 #include "metrics/eval.h"
 #include "metrics/export.h"
-#include "obs/audit.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
+#include "sim/audit.h"
 #include "sim/sim.h"
 #include "trace/benchmark_format.h"
 #include "trace/synthetic_fb.h"

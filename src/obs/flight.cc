@@ -8,11 +8,11 @@
 #include <utility>
 
 #include "common/check.h"
-#include "obs/audit.h"
 #include "obs/exporter.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "obs/tracer.h"
+#include "sim/audit.h"
 
 namespace ncdrf::obs {
 namespace {

@@ -9,9 +9,9 @@
 
 #include "coflow/coflow.h"
 #include "common/check.h"
-#include "obs/audit.h"
 #include "obs/metrics.h"
 #include "obs/tracer.h"
+#include "sim/audit.h"
 
 namespace ncdrf {
 namespace {
@@ -77,13 +77,20 @@ struct DynamicSimulator::Impl {
   SimOptions options;
   CompletionCallback on_complete;
   // Deliver arrival/flow-finish/departure deltas to the scheduler (set at
-  // run() from Scheduler::wants_events) so event-driven policies can keep
-  // incremental state instead of rescanning every snapshot.
+  // the first run_until() from Scheduler::wants_events) so event-driven
+  // policies can keep incremental state instead of rescanning snapshots.
   bool deliver_events = false;
 
   double now = 0.0;
   RunResult result;
   std::vector<double> remaining;  // indexed by FlowId, grown on submit
+  const ClairvoyantInfo clairvoyant_info{&remaining};
+  bool started = false;  // the first run_until() has set the scheduler up
+  // While run_until() is paused: the allocation made at `now` and the time
+  // from `now` to its next completion or internal event.
+  bool paused = false;
+  Allocation paused_alloc;
+  double paused_horizon = 0.0;
   std::vector<std::unique_ptr<ActiveEntry>> active;
   // The scheduler snapshot, maintained incrementally: input.coflows[a] is
   // the view of active[a] and follows its swap-pop moves. Views are
@@ -95,7 +102,7 @@ struct DynamicSimulator::Impl {
       pending;
   std::unordered_set<CoflowId> seen_coflows;
   // result.coflows slot by coflow id — O(1) departure bookkeeping. Valid
-  // during run() only (take_result re-sorts the records).
+  // until take_result() re-sorts the records.
   std::unordered_map<CoflowId, std::size_t> record_index;
 
   // Canonical completion times, indexed by FlowId alongside `remaining`.
@@ -382,54 +389,67 @@ struct DynamicSimulator::Impl {
     return next;
   }
 
-  void run() {
-    const ClairvoyantInfo clairvoyant_info(&remaining);
-    const bool clairvoyant = scheduler.clairvoyant();
-    deliver_events = scheduler.wants_events();
-    scheduler.set_observers(options.tracer, options.metrics);
-    if (deliver_events) scheduler.on_reset(fabric);
-    input.clairvoyant = clairvoyant ? &clairvoyant_info : nullptr;
+  void run_until(double t) {
+    if (!started) {  // once per run, so resuming does not reset the scheduler
+      started = true;
+      deliver_events = scheduler.wants_events();
+      scheduler.set_observers(options.tracer, options.metrics);
+      if (deliver_events) scheduler.on_reset(fabric);
+      input.clairvoyant = scheduler.clairvoyant() ? &clairvoyant_info : nullptr;
+    }
 
-    admit_due();
+    if (!paused) admit_due();  // else arrivals wait for the next event
     while (!active.empty() || !pending.empty()) {
       NCDRF_CHECK(result.num_events < options.max_events,
                   "event limit exceeded — scheduler appears to livelock");
-      if (active.empty()) {
+      Allocation alloc;
+      double horizon = 0.0;  // to the next completion or internal event
+      if (paused) {
+        alloc = std::move(paused_alloc);
+        horizon = paused_horizon;
+        paused = false;
+      } else if (active.empty()) {
+        if (pending.top()->coflow.arrival_time() > t) break;
         now = pending.top()->coflow.arrival_time();
         admit_due();
         continue;
+      } else {
+        // Bring the persistent snapshot up to date for the scheduler.
+        refresh_views();
+        input.now = now;
+        input.total_live_flows = static_cast<int>(unfinished_flows);
+        if (options.verify_snapshot) check_snapshot_consistent();
+        {
+          NCDRF_TRACE_SPAN(options.tracer, obs::EventKind::kAllocate, now,
+                           static_cast<std::int64_t>(active.size()));
+          alloc = scheduler.allocate(input);
+        }
+        horizon = clamp_and_next_completion(alloc) - now;
+        if (options.validate_allocations) check_capacity(input, alloc);
+        ++result.num_allocations;
+        if (m_allocations != nullptr) m_allocations->inc();
+        if (const auto internal =
+                scheduler.next_internal_event(input, alloc)) {
+          horizon = std::min(horizon, *internal);
+        }
       }
 
-      // Bring the persistent snapshot up to date for the scheduler.
-      refresh_views();
-      input.now = now;
-      input.total_live_flows = static_cast<int>(unfinished_flows);
-      if (options.verify_snapshot) check_snapshot_consistent();
-
-      Allocation alloc;
-      {
-        NCDRF_TRACE_SPAN(options.tracer, obs::EventKind::kAllocate, now,
-                         static_cast<std::int64_t>(active.size()));
-        alloc = scheduler.allocate(input);
-      }
-      const double next_completion = clamp_and_next_completion(alloc);
-      if (options.validate_allocations) check_capacity(input, alloc);
-      ++result.num_allocations;
-      if (m_allocations != nullptr) m_allocations->inc();
-
-      // Next event time.
-      double dt = next_completion - now;
+      // Next event time. Arrivals are read here, not at allocation time,
+      // so coflows submitted while paused count.
+      double dt = horizon;
       if (!pending.empty()) {
         dt = std::min(dt, pending.top()->coflow.arrival_time() - now);
       }
-      if (const auto internal =
-              scheduler.next_internal_event(input, alloc)) {
-        dt = std::min(dt, *internal);
+      dt = std::max(dt, 0.0);
+      if (now + dt > t) {
+        paused_alloc = std::move(alloc);
+        paused_horizon = horizon;
+        paused = true;
+        break;
       }
       NCDRF_CHECK(std::isfinite(dt),
                   "starvation: no completion, arrival or internal event "
                   "ahead under scheduler " + scheduler.name());
-      dt = std::max(dt, 0.0);
       NCDRF_CHECK(now + dt <= options.max_time_s,
                   "simulated time limit exceeded");
 
@@ -563,7 +583,6 @@ struct DynamicSimulator::Impl {
       admit_due();
     }
     result.makespan = std::max(result.makespan, now);
-    input.clairvoyant = nullptr;  // points at a local; run() may re-enter
   }
 };
 
@@ -581,7 +600,9 @@ void DynamicSimulator::set_completion_callback(CompletionCallback callback) {
   impl_->on_complete = std::move(callback);
 }
 
-void DynamicSimulator::run() { impl_->run(); }
+void DynamicSimulator::run_until(double t) { impl_->run_until(t); }
+
+void DynamicSimulator::run() { impl_->run_until(kInfinity); }
 
 double DynamicSimulator::now() const { return impl_->now; }
 

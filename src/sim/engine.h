@@ -12,6 +12,10 @@
 //   sim.run();
 //   RunResult result = sim.take_result();
 //
+// A caller that learns of coflows as time passes can pause the run with
+// run_until(t) and submit them in between (the Theorem 1 auditor's shadow
+// DRF run does); pausing does not change the run.
+//
 // Coflow ids must be unique per simulation; flow ids must be unique and
 // non-negative (a fresh TraceBuilder-style counter per driver is enough).
 // The engine's model, events and metrics are identical to simulate()'s —
@@ -40,16 +44,26 @@ class DynamicSimulator {
   DynamicSimulator& operator=(const DynamicSimulator&) = delete;
 
   // Registers a coflow to arrive at coflow.arrival_time(), which must not
-  // lie in the past. Callable before run() and from within the completion
-  // callback (that is the point).
+  // lie in the past. Callable before run(), from within the completion
+  // callback (that is the point), and while run_until() is paused.
   void submit(Coflow coflow);
 
   // Invoked at the instant any coflow completes, before the next
   // scheduling round — the hook for releasing successor stages.
   void set_completion_callback(CompletionCallback callback);
 
+  // Runs every event at or before time t, then returns with the allocation
+  // made at the last of them still in flight; now() is that event's time.
+  // The next run_until() or run() resumes the allocation, so a paused run
+  // equals an unpaused one bit for bit as long as every coflow submitted
+  // while paused arrives after now() (by more than the engine's 1e-9 s
+  // arrival tolerance). One arriving at now() itself joins through an
+  // extra zero-length event instead of the event already run. Starvation
+  // is only detected by run(), where no submission can follow.
+  void run_until(double t);
+
   // Runs until every submitted coflow has completed (including coflows
-  // submitted by the callback along the way).
+  // submitted by the callback along the way): run_until(+infinity).
   void run();
 
   double now() const;

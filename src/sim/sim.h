@@ -31,8 +31,9 @@ namespace scenario {
 class WorkloadSource;
 }  // namespace scenario
 
-// Optional observability attachments (src/obs/); forward-declared so the
-// sim API does not drag obs headers into every includer.
+// Optional observability attachments (src/obs/, and the auditor in
+// sim/audit.h); forward-declared so the sim API does not drag their headers
+// into every includer.
 namespace obs {
 class Tracer;
 class MetricsRegistry;

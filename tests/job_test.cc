@@ -8,6 +8,7 @@
 #include "common/units.h"
 #include "core/registry.h"
 #include "job/job.h"
+#include "sim/audit.h"
 #include "sim/engine.h"
 #include "trace/patterns.h"
 
@@ -200,6 +201,44 @@ TEST(Jobs, EveryPolicyCompletesAJobMix) {
         EXPECT_GE(s.release_time, parent_done - 1e-9) << name;
       }
     }
+  }
+}
+
+TEST(Jobs, AuditorFollowsPipelinedReleases) {
+  // Job A's second stage is released when its first one finishes, after
+  // job B (t = 100) was already submitted: the auditor must take the
+  // submissions out of arrival order, and watching must not move the run.
+  const Fabric fabric(4, gbps(1.0));
+  const std::vector<MachineId> group = machine_range(0, 4);
+  const std::vector<JobSpec> jobs = {
+      make_linear_pipeline("a", 0.0, 2, group, megabits(400.0)),
+      make_linear_pipeline("b", 100.0, 1, group, megabits(400.0))};
+  const auto plain_sched = make_scheduler("ncdrf");
+  const JobSetResult plain = run_jobs(fabric, jobs, *plain_sched);
+
+  obs::FairnessAuditor auditor(fabric);
+  SimOptions options;
+  options.auditor = &auditor;
+  const auto audited_sched = make_scheduler("ncdrf");
+  const JobSetResult audited =
+      run_jobs(fabric, jobs, *audited_sched, options);
+  auditor.finalize();
+  EXPECT_EQ(auditor.coflows_checked(), 3);
+  EXPECT_TRUE(auditor.violations().empty());
+
+  ASSERT_EQ(audited.stages.size(), plain.stages.size());
+  for (std::size_t i = 0; i < plain.stages.size(); ++i) {
+    EXPECT_EQ(audited.stages[i].job, plain.stages[i].job);
+    EXPECT_EQ(audited.stages[i].stage, plain.stages[i].stage);
+    EXPECT_EQ(audited.stages[i].release_time, plain.stages[i].release_time);
+    EXPECT_EQ(audited.stages[i].completion_time,
+              plain.stages[i].completion_time);
+    EXPECT_EQ(audited.stages[i].coflow_cct, plain.stages[i].coflow_cct);
+  }
+  ASSERT_EQ(audited.jobs.size(), plain.jobs.size());
+  for (std::size_t j = 0; j < plain.jobs.size(); ++j) {
+    EXPECT_EQ(audited.jobs[j].completion, plain.jobs[j].completion);
+    EXPECT_EQ(audited.jobs[j].duration, plain.jobs[j].duration);
   }
 }
 

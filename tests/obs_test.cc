@@ -16,13 +16,13 @@
 #include "common/units.h"
 #include "core/ncdrf.h"
 #include "core/registry.h"
-#include "obs/audit.h"
 #include "obs/json_lint.h"
 #include "obs/metrics.h"
 #include "obs/perf.h"
 #include "obs/tracer.h"
 #include "runner/sweep.h"
 #include "sched/drf.h"
+#include "sim/audit.h"
 #include "sim/sim.h"
 #include "test_util.h"
 #include "trace/synthetic_fb.h"
@@ -522,6 +522,39 @@ TEST(AuditTest, FlagsEnvelopeViolation) {
   auditor.write_report_json(report);
   EXPECT_EQ(obs::validate_json(report.str()), "");
   EXPECT_NE(report.str().find("\"coflow\":1"), std::string::npos);
+}
+
+TEST(AuditTest, SeriesCarriesShadowProgressFromArrival) {
+  // Coflows 0 and 1 share machine 0's uplink; coflow 2 arrives at 0.5 s on
+  // the reverse links. Shadow DRF holds every coflow at P* = 1 Gbps / 2
+  // until the first finishes at 2 s, so every real-run sample, including
+  // each coflow's first, pairs with P_k^D = 500 Mbps.
+  TraceBuilder builder(2);
+  builder.begin_coflow(0.0);
+  builder.add_flow(0, 1, 1e9);
+  builder.begin_coflow(0.0);
+  builder.add_flow(0, 1, 1e9);
+  builder.begin_coflow(0.5);
+  builder.add_flow(1, 0, 1e9);
+  const Trace trace = builder.build();
+  const Fabric fabric(2, gbps(1.0));
+
+  obs::FairnessAuditor auditor(fabric);
+  SimOptions sim;
+  sim.auditor = &auditor;
+  NcDrfScheduler scheduler;
+  simulate(fabric, trace, scheduler, sim);
+  auditor.finalize();
+
+  std::set<CoflowId> sampled;
+  for (const obs::AuditSample& s : auditor.series()) {
+    ASSERT_LT(s.t0, 2.0);
+    EXPECT_DOUBLE_EQ(s.shadow_progress, 5e8)
+        << "coflow " << s.coflow << " at " << s.t0;
+    sampled.insert(s.coflow);
+  }
+  EXPECT_EQ(sampled.size(), 3u);
+  EXPECT_TRUE(auditor.violations().empty());
 }
 
 TEST(AuditTest, RelativeProgressGapHelper) {

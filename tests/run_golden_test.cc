@@ -11,6 +11,7 @@
 // message prints each policy's new digest for re-pinning.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
@@ -21,6 +22,7 @@
 #include "common/rng.h"
 #include "common/units.h"
 #include "core/registry.h"
+#include "sim/engine.h"
 #include "sim/sim.h"
 #include "test_util.h"
 
@@ -157,6 +159,45 @@ TEST(RunGolden, EveryPolicyMatchesPinnedDigest) {
     }
   }
   if (HasFailure()) ADD_FAILURE() << "digests of this build:\n" << repin;
+}
+
+// DynamicSimulator::run_until() must not change a run. Each policy gets
+// the golden trace one coflow at a time, each coflow submitted only after
+// the run has paused at the last pause instant before its arrival. The
+// run pauses at every arrival and at 200 seeded instants over the 10-15 s
+// makespans, then drains with run(), and must hit the unpaused run's pin.
+TEST(RunGolden, PausedRunsMatchPinnedDigest) {
+  const Fabric fabric(8, gbps(1.0));
+  const Trace trace = golden_trace();
+  SimOptions options;
+  options.record_intervals = true;
+  options.record_progress_timeseries = true;
+  std::vector<double> pauses;
+  for (const Coflow& coflow : trace.coflows) {
+    pauses.push_back(coflow.arrival_time());
+  }
+  Rng rng(16);
+  for (int i = 0; i < 200; ++i) pauses.push_back(rng.uniform(0.0, 16.0));
+  std::sort(pauses.begin(), pauses.end());
+
+  for (const std::string& name : scheduler_names()) {
+    SCOPED_TRACE(name);
+    const auto scheduler = make_scheduler(name);
+    DynamicSimulator sim(fabric, *scheduler, options);
+    std::size_t next = 0;  // trace.coflows is in arrival order
+    for (const double pause : pauses) {
+      while (next < trace.coflows.size() &&
+             trace.coflows[next].arrival_time() <= pause) {
+        sim.submit(trace.coflows[next++]);
+      }
+      sim.run_until(pause);
+    }
+    sim.run();
+    const auto it = golden_digests().find(name);
+    ASSERT_NE(it, golden_digests().end()) << "no pinned digest for " << name;
+    EXPECT_EQ(it->second, run_digest(sim.take_result()))
+        << name << " paused run drifted from its pin";
+  }
 }
 
 }  // namespace

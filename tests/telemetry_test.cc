@@ -19,7 +19,6 @@
 #include "cluster/slave.h"
 #include "common/units.h"
 #include "core/registry.h"
-#include "obs/audit.h"
 #include "obs/exporter.h"
 #include "obs/flight.h"
 #include "obs/json_lint.h"
@@ -28,6 +27,7 @@
 #include "obs/tracer.h"
 #include "serve/loadgen.h"
 #include "serve/server.h"
+#include "sim/audit.h"
 #include "trace/trace.h"
 
 namespace ncdrf {
