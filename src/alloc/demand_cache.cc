@@ -18,8 +18,7 @@ void DemandCache::refresh(const ScheduleInput& input, ShardRuntime* runtime) {
   NCDRF_CHECK(input.clairvoyant != nullptr,
               "demand cache requires clairvoyant remaining-size info");
   size_ = input.coflows.size();
-  if (demands_.size() < size_) demands_.resize(size_);
-  if (touched_.size() < size_) touched_.resize(size_);
+  coflows_.resize(size_);
   // Flat remaining-bits offsets are serial prefix sums; the buffer only
   // grows, so steady-state refreshes reuse it without reallocating.
   remaining_offset_.resize(size_ + 1);
@@ -34,89 +33,82 @@ void DemandCache::refresh(const ScheduleInput& input, ShardRuntime* runtime) {
   if (remaining_flat_.size() < total_flows) {
     remaining_flat_.resize(total_flows);
   }
+  const std::size_t num_blocks =
+      runtime != nullptr ? static_cast<std::size_t>(runtime->num_shards())
+                         : 1;
+  if (blocks_.size() < num_blocks) blocks_.resize(num_blocks);
   if (runtime != nullptr) {
-    // Slots are disjoint per coflow, so the per-slot recomputations are
-    // free to run in parallel once the vectors above are sized.
-    runtime->parallel_blocks(size_,
-                             [&](int, std::size_t begin, std::size_t end) {
-                               for (std::size_t k = begin; k < end; ++k) {
-                                 refresh_slot(input, k);
-                               }
-                             });
+    // Each block owns its rows and scratch and writes only its coflows'
+    // entries, so the blocks run in parallel once the arrays are sized.
+    runtime->parallel_blocks(
+        size_, [&](int block, std::size_t begin, std::size_t end) {
+          refresh_block(input, blocks_[static_cast<std::size_t>(block)],
+                        begin, end);
+        });
     return;
   }
-  for (std::size_t k = 0; k < size_; ++k) {
-    refresh_slot(input, k);
-  }
+  refresh_block(input, blocks_[0], 0, size_);
 }
 
-void DemandCache::refresh_slot(const ScheduleInput& input, std::size_t k) {
+void DemandCache::refresh_block(const ScheduleInput& input, Block& block,
+                                std::size_t begin, std::size_t end) {
   const Fabric& fabric = *input.fabric;
   const ClairvoyantInfo& info = *input.clairvoyant;
-  const auto num_links = static_cast<std::size_t>(fabric.num_links());
-  {
+  std::vector<DemandRow>& rows = block.rows;
+  std::vector<std::int32_t>& link_row = block.link_row;
+  // Reset whole rather than trusted: a refresh that threw midway may have
+  // left entries set.
+  link_row.assign(static_cast<std::size_t>(fabric.num_links()), -1);
+  rows.clear();
+  for (std::size_t k = begin; k < end; ++k) {
     const ActiveCoflow& coflow = input.coflows[k];
-    DemandVectors& out = demands_[k];
-    std::vector<LinkId>& touched = touched_[k];
-    double* remaining =
-        remaining_flat_.data() + remaining_offset_[k];
-    if (out.demand.size() != num_links) {
-      // Fresh slot (or the fabric changed shape): dense zero once; from
-      // then on the touched list zeroes only what the last refresh wrote.
-      out.demand.assign(num_links, 0.0);
-      out.flow_count.assign(num_links, 0);
-      touched.clear();
-    } else {
-      for (const LinkId l : touched) {
-        out.demand[static_cast<std::size_t>(l)] = 0.0;
-        out.flow_count[static_cast<std::size_t>(l)] = 0;
-      }
-      touched.clear();
-    }
-    out.bottleneck_demand = 0.0;
-    out.bottleneck_link = -1;
-    out.bottleneck_flow_count = 0;
-    out.flow_count_bottleneck_link = -1;
-
+    double* remaining = remaining_flat_.data() + remaining_offset_[k];
+    const std::size_t first = rows.size();
     // Same accumulation order as coflow/compute_demand over the coflow's
-    // live flows with remaining sizes — bitwise identical to the legacy
-    // per-call remaining_demand helpers.
-    std::size_t row = 0;
+    // live flows with remaining sizes: each row adds its flows' bits in
+    // flow order — bitwise the dense per-link sums.
+    const auto add = [&](LinkId link, double bits) {
+      std::int32_t& r = link_row[static_cast<std::size_t>(link)];
+      if (r < 0) {
+        r = static_cast<std::int32_t>(rows.size());
+        rows.push_back(DemandRow{link, 0, 0.0});
+      }
+      DemandRow& row = rows[static_cast<std::size_t>(r)];
+      row.flows += 1;
+      row.bits += bits;
+    };
+    std::size_t j = 0;
     for (const ActiveFlow& f : coflow.flows) {
       const double size_bits = info.remaining_bits(f.id);
       NCDRF_CHECK(size_bits >= 0.0, "flow size must be non-negative");
-      remaining[row++] = size_bits;
-      const auto up = static_cast<std::size_t>(fabric.uplink(f.src));
-      const auto down = static_cast<std::size_t>(fabric.downlink(f.dst));
-      if (out.flow_count[up] == 0) touched.push_back(fabric.uplink(f.src));
-      if (out.flow_count[down] == 0) {
-        touched.push_back(fabric.downlink(f.dst));
-      }
-      out.demand[up] += size_bits;
-      out.demand[down] += size_bits;
-      out.flow_count[up] += 1;
-      out.flow_count[down] += 1;
+      remaining[j++] = size_bits;
+      add(fabric.uplink(f.src), size_bits);
+      add(fabric.downlink(f.dst), size_bits);
     }
-    // Only touched links can hold a positive demand or count. A dense
-    // ascending scan keeps the largest value and, among exact ties, the
-    // smallest link id — the explicit tie-break below reproduces that
-    // without sorting the touched list.
-    for (const LinkId i : touched) {
-      const auto idx = static_cast<std::size_t>(i);
-      if (out.demand[idx] > out.bottleneck_demand ||
-          (out.demand[idx] == out.bottleneck_demand &&
-           out.bottleneck_link >= 0 && i < out.bottleneck_link)) {
-        out.bottleneck_demand = out.demand[idx];
-        out.bottleneck_link = i;
-      }
-      if (out.flow_count[idx] > out.bottleneck_flow_count ||
-          (out.flow_count[idx] == out.bottleneck_flow_count &&
-           out.flow_count_bottleneck_link >= 0 &&
-           i < out.flow_count_bottleneck_link)) {
-        out.bottleneck_flow_count = out.flow_count[idx];
-        out.flow_count_bottleneck_link = i;
+    // A dense ascending scan keeps the largest demand and, among exact
+    // ties, the smallest link id; the explicit tie-break reproduces that
+    // over the first-touch rows. The scan also returns the scratch to -1.
+    CoflowDemand& c = coflows_[k];
+    c.bottleneck_bits = 0.0;
+    c.bottleneck_link = -1;
+    for (std::size_t r = first; r < rows.size(); ++r) {
+      const DemandRow& row = rows[r];
+      link_row[static_cast<std::size_t>(row.link)] = -1;
+      if (row.bits > c.bottleneck_bits ||
+          (row.bits == c.bottleneck_bits && c.bottleneck_link >= 0 &&
+           row.link < c.bottleneck_link)) {
+        c.bottleneck_bits = row.bits;
+        c.bottleneck_link = row.link;
       }
     }
+    c.num_rows = static_cast<std::int32_t>(rows.size() - first);
+  }
+  // The buffer may have moved while it grew; point each coflow at its run
+  // only now.
+  const DemandRow* run = rows.data();
+  for (std::size_t k = begin; k < end; ++k) {
+    coflows_[k].rows = run;
+    run += coflows_[k].num_rows;
   }
 }
 
@@ -130,7 +122,25 @@ double DemandCache::drf_progress(const ScheduleInput& input,
               "demand cache stale for this snapshot");
   const Fabric& fabric = *input.fabric;
   const auto num_links = static_cast<std::size_t>(fabric.num_links());
+  // Adds w_k·c_k^i for coflows [begin, end) into `load`. Links without a
+  // row hold exactly 0.0 demand and would contribute an exact +0.0, so
+  // skipping them leaves every accumulated bit unchanged.
+  const auto accumulate = [&](std::size_t begin, std::size_t end,
+                              std::vector<double>& load) {
+    for (std::size_t k = begin; k < end; ++k) {
+      const double weight = input.coflows[k].weight;
+      NCDRF_CHECK(weight > 0.0, "coflow weights must be positive");
+      const CoflowDemand& c = coflows_[k];
+      if (c.bottleneck_bits <= 0.0) continue;
+      for (const DemandRow& row : std::span<const DemandRow>(
+               c.rows, static_cast<std::size_t>(c.num_rows))) {
+        load[static_cast<std::size_t>(row.link)] +=
+            weight * (row.bits / c.bottleneck_bits);
+      }
+    }
+  };
   std::vector<double>& load = load_;
+  load.assign(num_links, 0.0);
   if (runtime != nullptr) {
     // Per-block partial loads over contiguous coflow ranges, reduced in
     // block order — the only serial-vs-sharded difference is the
@@ -144,41 +154,15 @@ double DemandCache::drf_progress(const ScheduleInput& input,
     }
     runtime->parallel_blocks(
         size_, [&](int block, std::size_t begin, std::size_t end) {
-          std::vector<double>& partial =
-              block_load_[static_cast<std::size_t>(block)];
-          for (std::size_t k = begin; k < end; ++k) {
-            const ActiveCoflow& coflow = input.coflows[k];
-            NCDRF_CHECK(coflow.weight > 0.0,
-                        "coflow weights must be positive");
-            const DemandVectors& d = demands_[k];
-            if (d.bottleneck_demand <= 0.0) continue;
-            for (const LinkId l : touched_[k]) {
-              const auto i = static_cast<std::size_t>(l);
-              partial[i] +=
-                  coflow.weight * (d.demand[i] / d.bottleneck_demand);
-            }
-          }
+          accumulate(begin, end, block_load_[static_cast<std::size_t>(block)]);
         });
-    load.assign(num_links, 0.0);
     for (std::size_t b = 0; b < blocks; ++b) {
       for (std::size_t i = 0; i < num_links; ++i) {
         load[i] += block_load_[b][i];
       }
     }
   } else {
-    load.assign(num_links, 0.0);
-    for (std::size_t k = 0; k < size_; ++k) {
-      const ActiveCoflow& coflow = input.coflows[k];
-      NCDRF_CHECK(coflow.weight > 0.0, "coflow weights must be positive");
-      const DemandVectors& d = demands_[k];
-      if (d.bottleneck_demand <= 0.0) continue;
-      // Untouched links hold exactly 0.0 demand and would contribute an
-      // exact +0.0; skipping them leaves every accumulated bit unchanged.
-      for (const LinkId l : touched_[k]) {
-        const auto i = static_cast<std::size_t>(l);
-        load[i] += coflow.weight * (d.demand[i] / d.bottleneck_demand);
-      }
-    }
+    accumulate(0, size_, load);
   }
   double p_star = std::numeric_limits<double>::infinity();
   for (LinkId i = 0; i < fabric.num_links(); ++i) {
@@ -204,8 +188,8 @@ double drf_allocate(const ScheduleInput& input, const DemandCache& cache,
   }
   for (std::size_t k = 0; k < input.coflows.size(); ++k) {
     const ActiveCoflow& coflow = input.coflows[k];
-    const DemandVectors& d = cache.demand(k);
-    if (d.bottleneck_demand <= 0.0) {
+    const double bottleneck = cache.bottleneck_bits(k);
+    if (bottleneck <= 0.0) {
       // Nothing left to send; flows will be retired by the driver.
       for (const ActiveFlow& f : coflow.flows) alloc.set_rate(f.id, 0.0);
       continue;
@@ -215,8 +199,8 @@ double drf_allocate(const ScheduleInput& input, const DemandCache& cache,
     // refresh(), so this pass does no clairvoyant lookups.
     const double* remaining = cache.remaining(k);
     for (std::size_t j = 0; j < coflow.flows.size(); ++j) {
-      alloc.set_rate(coflow.flows[j].id, coflow.weight * remaining[j] *
-                                             p_star / d.bottleneck_demand);
+      alloc.set_rate(coflow.flows[j].id,
+                     coflow.weight * remaining[j] * p_star / bottleneck);
     }
   }
   return p_star;

@@ -1,21 +1,33 @@
-// Memoized clairvoyant demand vectors: one remaining-demand computation
-// per coflow per allocate() call, shared by every stage that needs it.
+// Memoized clairvoyant demand: one remaining-demand computation per coflow
+// per allocate() call, shared by every stage that needs it.
 //
 // The legacy clairvoyant schedulers each recomputed remaining demand from
 // the snapshot on demand — DRF twice per coflow per call (once for P*,
 // once for the rates) and HUG a third time through its embedded
-// DrfScheduler. The cache computes each coflow's DemandVectors exactly
-// once per refresh(), into per-slot buffers that persist across calls, so
-// steady-state refreshes allocate nothing and downstream stages
-// (drf_progress, drf_allocate, Varys's SEBF/MADD) read the same vectors.
+// DrfScheduler. The cache computes each coflow's demand exactly once per
+// refresh(), and downstream stages (drf_progress, drf_allocate, Varys's
+// SEBF/MADD) read the same rows.
 //
-// The arithmetic replicates coflow/compute_demand exactly (same
-// accumulation order), so cached results are bitwise identical to the
-// legacy per-call computations.
+// Row layout. A coflow's demand is one contiguous run of DemandRows, one
+// row per link its live flows touch, in first-touch order (flow order,
+// uplink before downlink): the link, its live-flow count n_k[i] and its
+// remaining bits d_k[i]. The coflow's bottleneck demand d̄_k and link b_k
+// sit next to the run. A link the coflow does not touch has no row; its
+// demand is exactly 0.0. All coflows' runs share one row buffer (one per
+// block on the sharded refresh), grown to the high-water mark and reused,
+// so memory is O(rows + flows) — about 18 rows per FB-like coflow —
+// instead of the O(K·2m) dense per-coflow link vectors this replaced, and
+// steady-state refreshes allocate nothing.
+//
+// The arithmetic replicates coflow/compute_demand exactly: each row sums
+// its flows' remaining bits in flow order, the same per-link accumulation
+// order as the dense vectors, so cached results are bitwise identical to
+// the legacy per-call computations.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "coflow/coflow.h"
@@ -25,49 +37,59 @@ namespace ncdrf {
 
 class ShardRuntime;
 
+// One link a coflow's live flows touch.
+struct DemandRow {
+  LinkId link = -1;
+  std::int32_t flows = 0;  // n_k[link]: live flows crossing the link
+  double bits = 0.0;       // d_k[link]: their remaining bits
+};
+
 class DemandCache {
  public:
-  // Recomputes every coflow's remaining-demand vectors for this snapshot.
+  // Recomputes every coflow's remaining demand for this snapshot.
   // Requires input.clairvoyant != nullptr.
   void refresh(const ScheduleInput& input);
 
-  // Sharded refresh: the per-coflow slots are disjoint, so a non-null
-  // runtime recomputes them in parallel blocks — each slot's arithmetic
-  // is the serial refresh's, so the cached vectors are identical either
-  // way. A null runtime is the serial refresh above.
+  // Sharded refresh: coflows are independent, so a non-null runtime builds
+  // contiguous coflow blocks in parallel, each into its own row buffer
+  // and link scratch. Every row is the serial refresh's, so the cache
+  // reads the same either way. A null runtime is the serial refresh.
   void refresh(const ScheduleInput& input, ShardRuntime* runtime);
 
-  // Demand vectors of input.coflows[coflow_index], valid until the next
-  // refresh().
-  const DemandVectors& demand(std::size_t coflow_index) const {
+  // Rows of input.coflows[coflow_index], in first-touch order; valid until
+  // the next refresh().
+  std::span<const DemandRow> rows(std::size_t coflow_index) const {
     NCDRF_CHECK(coflow_index < size_, "demand-cache index out of range");
-    return demands_[coflow_index];
+    const CoflowDemand& c = coflows_[coflow_index];
+    return {c.rows, static_cast<std::size_t>(c.num_rows)};
+  }
+
+  // d̄_k: the largest row's bits, 0.0 when nothing is left to send.
+  double bottleneck_bits(std::size_t coflow_index) const {
+    NCDRF_CHECK(coflow_index < size_, "demand-cache index out of range");
+    return coflows_[coflow_index].bottleneck_bits;
+  }
+
+  // b_k: the smallest link id among the largest rows (the dense first
+  // arg max), -1 when nothing is left to send.
+  LinkId bottleneck_link(std::size_t coflow_index) const {
+    NCDRF_CHECK(coflow_index < size_, "demand-cache index out of range");
+    return coflows_[coflow_index].bottleneck_link;
   }
 
   // Remaining bits of input.coflows[coflow_index].flows, in flow order,
   // memoized during refresh() so rate passes skip the per-flow
   // ClairvoyantInfo lookup they already paid once. The values live in one
-  // flat coflow-major array reused across refreshes (per-slot vectors used
-  // to be cleared and re-reserved every call as the engine's swap-pop
-  // shuffled slots); the pointer is valid until the next refresh().
+  // flat coflow-major array reused across refreshes; the pointer is valid
+  // until the next refresh().
   const double* remaining(std::size_t coflow_index) const {
     NCDRF_CHECK(coflow_index < size_, "demand-cache index out of range");
-    return remaining_flat_.data() +
-           remaining_offset_[coflow_index];
-  }
-
-  // Links coflow_index's demand vector touches, in first-touch order —
-  // exactly the links that can hold a positive demand or flow count.
-  // Sparse consumers (Varys's Γ and MADD scans) visit only these instead
-  // of all 2m links; untouched links hold exactly 0.0 / 0.
-  const std::vector<LinkId>& touched(std::size_t coflow_index) const {
-    NCDRF_CHECK(coflow_index < size_, "demand-cache index out of range");
-    return touched_[coflow_index];
+    return remaining_flat_.data() + remaining_offset_[coflow_index];
   }
 
   std::size_t size() const { return size_; }
 
-  // P* = min_i C_i / Σ_k w_k·c_k^i (Eq. 2) over the cached vectors; 0 when
+  // P* = min_i C_i / Σ_k w_k·c_k^i (Eq. 2) over the cached rows; 0 when
   // no coflow has remaining demand. Must be called after refresh() on the
   // same snapshot.
   double drf_progress(const ScheduleInput& input) const;
@@ -81,22 +103,29 @@ class DemandCache {
                       ShardRuntime* runtime) const;
 
  private:
-  void refresh_slot(const ScheduleInput& input, std::size_t k);
+  struct CoflowDemand {
+    const DemandRow* rows = nullptr;
+    std::int32_t num_rows = 0;
+    LinkId bottleneck_link = -1;
+    double bottleneck_bits = 0.0;
+  };
+  // What one refresh block writes: the rows of its coflows, and a
+  // link -> row index scratch of L entries, all -1 between coflows.
+  struct Block {
+    std::vector<DemandRow> rows;
+    std::vector<std::int32_t> link_row;
+  };
 
-  std::vector<DemandVectors> demands_;  // slots reused across refreshes
+  void refresh_block(const ScheduleInput& input, Block& block,
+                     std::size_t begin, std::size_t end);
+
+  std::vector<CoflowDemand> coflows_;  // per coflow index
+  std::vector<Block> blocks_;          // one on the serial path
   // Per-flow remaining bits, coflow-major, one flat buffer grown to the
   // high-water mark: refresh() computes the offsets serially, then the
-  // (possibly parallel) per-slot passes write disjoint ranges.
+  // (possibly parallel) blocks write disjoint ranges.
   std::vector<double> remaining_flat_;
   std::vector<std::int32_t> remaining_offset_;  // size K+1
-  // Links each slot wrote in its last refresh, in first-touch order. Dense
-  // vectors are zeroed sparsely through these lists, and the bottleneck /
-  // load scans visit only them — refresh() is O(F) per coflow, not O(L).
-  // The bottleneck scans break ties on the smallest link id explicitly, so
-  // no sorted order is needed to reproduce the dense first-arg-max; the
-  // load accumulation touches one independent accumulator per link, so its
-  // visit order never changes any sum.
-  std::vector<std::vector<LinkId>> touched_;
   mutable std::vector<double> load_;  // Σ_k w_k·c_k^i scratch
   // Per-block load partials for the sharded drf_progress reduction.
   mutable std::vector<std::vector<double>> block_load_;
@@ -112,7 +141,7 @@ double drf_allocate(const ScheduleInput& input, const DemandCache& cache,
                     Allocation& alloc);
 
 // Sharded variant: P* comes from the parallel block reduction; the rate
-// pass stays serial (Allocation is a hash map). Null runtime is the
+// pass stays serial (one Allocation is written). Null runtime is the
 // serial drf_allocate above.
 double drf_allocate(const ScheduleInput& input, const DemandCache& cache,
                     ShardRuntime* runtime, Allocation& alloc);

@@ -74,8 +74,12 @@ const ShardPlan& ShardRuntime::bind(const Fabric& fabric) {
   return plan_;
 }
 
+int ShardRuntime::num_tasks() const {
+  return plan_.num_shards() > 0 ? plan_.num_shards() : num_shards_;
+}
+
 void ShardRuntime::parallel_shards(const std::function<void(int)>& fn) {
-  const int n = plan_.num_shards() > 0 ? plan_.num_shards() : num_shards_;
+  const int n = num_tasks();
   task_seconds_.assign(static_cast<std::size_t>(n), 0.0);
   pool_.run(n, [&](int shard) {
     const double start = thread_cpu_seconds();
@@ -95,7 +99,9 @@ void ShardRuntime::parallel_shards(const std::function<void(int)>& fn) {
 void ShardRuntime::parallel_blocks(
     std::size_t n,
     const std::function<void(int, std::size_t, std::size_t)>& fn) {
-  const auto blocks = static_cast<std::size_t>(num_shards_);
+  // One block per task: a plan clamped below num_shards (fewer machines
+  // than shards) runs fewer tasks, and every block must still run.
+  const auto blocks = static_cast<std::size_t>(num_tasks());
   parallel_shards([&](int block) {
     const auto b = static_cast<std::size_t>(block);
     const std::size_t begin = n * b / blocks;

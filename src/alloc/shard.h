@@ -110,9 +110,9 @@ class ShardRuntime {
   // critical path and the sum extends the busy total.
   void parallel_shards(const std::function<void(int)>& fn);
 
-  // Splits [0, n) into num_shards contiguous blocks and runs
-  // fn(block, begin, end) in parallel with the same accounting; empty
-  // blocks are skipped.
+  // Splits [0, n) into one contiguous block per task (at most
+  // num_shards) and runs fn(block, begin, end) in parallel with the same
+  // accounting; empty blocks are skipped.
   void parallel_blocks(
       std::size_t n,
       const std::function<void(int, std::size_t, std::size_t)>& fn);
@@ -122,6 +122,9 @@ class ShardRuntime {
   void drain_timers(SchedPerf& perf);
 
  private:
+  // Tasks per region: the bound plan's shard count, num_shards unbound.
+  int num_tasks() const;
+
   int num_shards_;
   ShardPlan plan_;
   ThreadPool pool_;

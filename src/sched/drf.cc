@@ -24,6 +24,7 @@ Allocation DrfScheduler::allocate(const ScheduleInput& input) {
   Allocation alloc;
   cache_.refresh(input, runtime_.get());
   const double p_star = drf_allocate(input, cache_, runtime_.get(), alloc);
+  last_progress_ = p_star;
   if (p_star > 0.0 && options_.work_conserving) {
     BackfillScope backfill(perf_);
     perf_.backfill_rounds += options_.backfill_rounds;

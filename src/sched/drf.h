@@ -9,7 +9,7 @@
 // this keeps the instantaneous progress of every coflow exactly equal
 // (disparity 1, the Fig. 5a reference line).
 //
-// Demand vectors come from the kernel layer's DemandCache: one
+// Demand rows come from the kernel layer's DemandCache: one
 // remaining-demand computation per coflow per call instead of the two the
 // legacy implementation paid (P* pass + rate pass).
 #pragma once
@@ -43,12 +43,16 @@ class DrfScheduler : public Scheduler {
 
   // The optimal isolation guarantee P* (Eq. 2) for the snapshot, in
   // progress units (bps on the bottleneck of a unit-correlation coflow).
-  // Exposed for tests and for HUG's second stage.
   static double optimal_progress(const ScheduleInput& input);
+
+  // P* of the snapshot the last allocate() served (0 before any call):
+  // optimal_progress() of that snapshot without a second demand pass.
+  double last_progress() const { return last_progress_; }
 
  private:
   DrfOptions options_;
   DemandCache cache_;
+  double last_progress_ = 0.0;
   std::unique_ptr<ShardRuntime> runtime_;  // null on the serial path
   SchedPerf perf_;
 };

@@ -26,19 +26,17 @@ Allocation VarysScheduler::allocate(const ScheduleInput& input) {
   }
 
   // Effective bottleneck completion time of each coflow at full capacity.
-  // Only the cache's touched links are scanned — untouched links hold
+  // Only the coflow's demand rows are scanned — a link without a row holds
   // exactly 0.0 demand and cannot raise the max, so the sparse scan equals
-  // the dense one bit for bit. Each coflow's Γ reads only its own cached
-  // vectors, so the scans parallelize over coflow blocks with per-k
-  // results unchanged.
+  // the dense one bit for bit. Each coflow's Γ reads only its own rows, so
+  // the scans parallelize over coflow blocks with per-k results unchanged.
   cache_.refresh(input, runtime_.get());
   gamma_.assign(input.coflows.size(), 0.0);
   const auto gamma_of = [&](std::size_t k) {
-    const DemandVectors& d = cache_.demand(k);
     double g = 0.0;
-    for (const LinkId i : cache_.touched(k)) {
-      const auto idx = static_cast<std::size_t>(i);
-      g = std::max(g, d.demand[idx] / capacities_[idx]);
+    for (const DemandRow& row : cache_.rows(k)) {
+      g = std::max(g, row.bits /
+                          capacities_[static_cast<std::size_t>(row.link)]);
     }
     return g;
   };
@@ -75,18 +73,17 @@ Allocation VarysScheduler::allocate(const ScheduleInput& input) {
     // MADD against *residual* capacity: the coflow finishes as fast as the
     // bandwidth left by smaller coflows allows. Blocked means some
     // demanded link has no residual — an order-independent ∃-check, so
-    // walking the touched list instead of ascending links changes nothing.
-    const DemandVectors& d = cache_.demand(k);
+    // walking the rows instead of ascending links changes nothing.
     double g = 0.0;
     bool blocked = false;
-    for (const LinkId i : cache_.touched(k)) {
-      const auto idx = static_cast<std::size_t>(i);
-      if (d.demand[idx] <= 0.0) continue;
-      if (residual_[idx] <= 0.0) {
+    for (const DemandRow& row : cache_.rows(k)) {
+      if (row.bits <= 0.0) continue;
+      const double residual = residual_[static_cast<std::size_t>(row.link)];
+      if (residual <= 0.0) {
         blocked = true;
         break;
       }
-      g = std::max(g, d.demand[idx] / residual_[idx]);
+      g = std::max(g, row.bits / residual);
     }
     if (blocked || g <= 0.0) continue;
     const double* remaining = cache_.remaining(k);

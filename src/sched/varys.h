@@ -12,7 +12,7 @@
 //
 // Demand vectors come from the kernel layer's DemandCache (one
 // remaining-demand computation per coflow per call), the Γ and MADD scans
-// walk only the cache's touched-link lists (untouched links hold exactly
+// walk only each coflow's demand rows (a link without a row holds exactly
 // zero demand, so the sparse max/∃-blocked checks reproduce the dense
 // scans bit for bit), the rate walk runs over the KernelScratch flow
 // table, and the residual pass is the shared water-filling kernel.
@@ -48,9 +48,9 @@ class VarysScheduler : public Scheduler {
  private:
   VarysOptions options_;
   DemandCache cache_;
-  // Sharded path: demand refresh and the dense per-coflow Γ scans (the
-  // policy's O(K·L) hot spot) run in parallel blocks; the sequential MADD
-  // walk stays serial and the residual pass becomes ShardedBackfill.
+  // Sharded path: demand refresh and the per-coflow Γ scans run in
+  // parallel blocks; the sequential MADD walk stays serial and the
+  // residual pass becomes ShardedBackfill.
   std::unique_ptr<ShardRuntime> runtime_;  // null on the serial path
   ShardedBackfill sharded_backfill_;
   KernelScratch scratch_;

@@ -20,12 +20,12 @@ constexpr double kEnvelopeTolerance = 1e-6;
 class ProgressDrf final : public DrfScheduler {
  public:
   Allocation allocate(const ScheduleInput& input) override {
-    const double p_star = optimal_progress(input);
+    Allocation alloc = DrfScheduler::allocate(input);
     progress_.clear();
     for (const ActiveCoflow& coflow : input.coflows) {
-      progress_[coflow.id] = coflow.weight * p_star;
+      progress_[coflow.id] = coflow.weight * last_progress();
     }
-    return DrfScheduler::allocate(input);
+    return alloc;
   }
 
   // 0 for coflows outside the last snapshot.

@@ -460,14 +460,46 @@ TEST(DemandCacheTest, MatchesComputeDemand) {
       }
       const DemandVectors expected =
           compute_demand(inst.fabric, flows, sizes);
-      const DemandVectors& got = cache.demand(k);
-      EXPECT_EQ(got.demand, expected.demand);
-      EXPECT_EQ(got.flow_count, expected.flow_count);
-      EXPECT_EQ(got.bottleneck_demand, expected.bottleneck_demand);
-      EXPECT_EQ(got.bottleneck_link, expected.bottleneck_link);
-      EXPECT_EQ(got.bottleneck_flow_count, expected.bottleneck_flow_count);
-      EXPECT_EQ(got.flow_count_bottleneck_link,
+      // Scatter the rows back to dense vectors: each link at most once,
+      // and every link with a live flow has a row.
+      const auto num_links = static_cast<std::size_t>(inst.fabric.num_links());
+      std::vector<double> demand(num_links, 0.0);
+      std::vector<int> flow_count(num_links, 0);
+      std::vector<LinkId> row_links;
+      for (const DemandRow& row : cache.rows(k)) {
+        const auto i = static_cast<std::size_t>(row.link);
+        ASSERT_LT(i, num_links);
+        EXPECT_EQ(flow_count[i], 0) << "link " << row.link << " twice";
+        EXPECT_GT(row.flows, 0);
+        demand[i] = row.bits;
+        flow_count[i] = row.flows;
+        row_links.push_back(row.link);
+      }
+      EXPECT_EQ(demand, expected.demand);
+      EXPECT_EQ(flow_count, expected.flow_count);
+      EXPECT_EQ(cache.bottleneck_bits(k), expected.bottleneck_demand);
+      EXPECT_EQ(cache.bottleneck_link(k), expected.bottleneck_link);
+      // n̄_k and its first arg max, read off the rows.
+      const auto n_bar =
+          std::max_element(flow_count.begin(), flow_count.end());
+      EXPECT_EQ(*n_bar, expected.bottleneck_flow_count);
+      EXPECT_EQ(static_cast<LinkId>(n_bar - flow_count.begin()),
                 expected.flow_count_bottleneck_link);
+      // Rows come in first-touch order: flow order, uplink first.
+      std::vector<LinkId> first_touch;
+      for (const ActiveFlow& f : coflow.flows) {
+        for (const LinkId l :
+             {inst.fabric.uplink(f.src), inst.fabric.downlink(f.dst)}) {
+          if (std::find(first_touch.begin(), first_touch.end(), l) ==
+              first_touch.end()) {
+            first_touch.push_back(l);
+          }
+        }
+      }
+      EXPECT_EQ(row_links, first_touch);
+      EXPECT_EQ(std::vector<double>(cache.remaining(k),
+                                    cache.remaining(k) + sizes.size()),
+                sizes);
     }
   }
 }

@@ -7,9 +7,12 @@
 //     nested-dispatch regression);
 //   * shards == 1 vs shards == N produce identical rates on shard-local
 //     traces, and bounded divergence + feasibility on cross-shard traces;
+//   * the sharded DemandCache refresh caches exactly the serial rows, and
+//     parallel_blocks covers every index when the plan is clamped;
 //   * the registry's "@N" suffix, SchedPerf shard counters, SimOptions
 //     reconcile forwarding, and the Theorem 1 envelope with a sharded
 //     clairvoyant-DRF baseline.
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <stdexcept>
@@ -18,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "alloc/demand_cache.h"
 #include "alloc/shard.h"
 #include "coflow/coflow.h"
 #include "common/check.h"
@@ -504,6 +508,90 @@ TEST(ShardDeterminism, RepeatedShardedAllocationsAreBitwiseStable) {
 }
 
 // ---------------------------------------------------------------------------
+// Sharded demand refresh
+
+// Every row (link, flows, bits, in order), bottleneck and remaining bit
+// `got` caches equals what `want` caches.
+void expect_same_demand(const ScheduleInput& input, const DemandCache& want,
+                        const DemandCache& got, const std::string& context) {
+  ASSERT_EQ(got.size(), want.size()) << context;
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    const auto a = want.rows(k);
+    const auto b = got.rows(k);
+    ASSERT_EQ(a.size(), b.size()) << context << " coflow " << k;
+    for (std::size_t r = 0; r < a.size(); ++r) {
+      EXPECT_EQ(a[r].link, b[r].link) << context << " coflow " << k;
+      EXPECT_EQ(a[r].flows, b[r].flows) << context << " coflow " << k;
+      EXPECT_EQ(a[r].bits, b[r].bits) << context << " coflow " << k;
+    }
+    EXPECT_EQ(want.bottleneck_bits(k), got.bottleneck_bits(k)) << context;
+    EXPECT_EQ(want.bottleneck_link(k), got.bottleneck_link(k)) << context;
+    for (std::size_t j = 0; j < input.coflows[k].flows.size(); ++j) {
+      EXPECT_EQ(want.remaining(k)[j], got.remaining(k)[j]) << context;
+    }
+  }
+}
+
+TEST(ShardDemandCache, ShardedRefreshMatchesSerialUnderSlotRotation) {
+  const Fabric fabric(40, gbps(1.0));
+  ShardRuntime two(2);
+  ShardRuntime four(4);
+  // Fewer coflows than shards leaves blocks empty; 37 splits unevenly.
+  for (const int num_coflows : {3, 37}) {
+    for (const std::uint64_t seed : {5u, 29u}) {
+      const Trace trace = grouped_trace(fabric, 4, seed, num_coflows, 12, 0.3);
+      Snapshot snap = snapshot_all_active(fabric, trace, true);
+      // Uneven remaining bits (and some exhausted flows), so the row sums
+      // round and bottleneck ties are rare.
+      Rng rng(seed);
+      for (double& bits : *snap.remaining) {
+        bits = rng.bernoulli(0.1) ? 0.0 : rng.uniform(1e6, 1e9);
+      }
+      // The caches persist across rotations, so each refresh reuses the
+      // block buffers the previous snapshot's coflows filled.
+      DemandCache serial;
+      DemandCache sharded2;
+      DemandCache sharded4;
+      for (int turn = 0; turn < num_coflows + 2; ++turn) {
+        serial.refresh(snap.input);
+        sharded2.refresh(snap.input, &two);
+        sharded4.refresh(snap.input, &four);
+        const std::string context = "coflows " + std::to_string(num_coflows) +
+                                    " seed " + std::to_string(seed) +
+                                    " turn " + std::to_string(turn);
+        expect_same_demand(snap.input, serial, sharded2, context + " @2");
+        expect_same_demand(snap.input, serial, sharded4, context + " @4");
+        std::rotate(snap.input.coflows.begin(),
+                    snap.input.coflows.begin() + 1, snap.input.coflows.end());
+        // Finish a flow now and then, so slots change width as they rotate.
+        ActiveCoflow& front = snap.input.coflows.front();
+        if (turn % 3 == 0 && front.flows.size() > 1) front.flows.pop_back();
+      }
+    }
+  }
+}
+
+TEST(ShardRuntimeBlocks, CoverEveryIndexOnceWhenThePlanIsClamped) {
+  // A fabric with fewer machines than shards clamps the bound plan, so
+  // each region runs fewer tasks; the blocks must still cover [0, n).
+  ShardRuntime runtime(4);
+  for (const int machines : {1, 3, 8}) {
+    runtime.bind(Fabric(machines, gbps(1.0)));
+    for (const std::size_t n : {0u, 1u, 5u, 17u}) {
+      std::vector<int> visits(n, 0);
+      runtime.parallel_blocks(n,
+                              [&](int, std::size_t begin, std::size_t end) {
+                                for (std::size_t i = begin; i < end; ++i) {
+                                  visits[i] += 1;
+                                }
+                              });
+      EXPECT_EQ(visits, std::vector<int>(n, 1))
+          << machines << " machines, n = " << n;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Registry, perf counters, sim plumbing
 
 TEST(ShardRegistry, AtSuffixBuildsShardedScheduler) {
@@ -592,6 +680,28 @@ TEST(ShardSim, CrossShardTraceCompletesUnderValidation) {
   ASSERT_EQ(run.coflows.size(), trace.coflows.size());
   for (const CoflowRecord& record : run.coflows) {
     EXPECT_GT(record.cct, 0.0);
+  }
+}
+
+TEST(ShardSim, VarysOnOneMachineFabricMatchesSerial) {
+  // One machine clamps varys@4's plan to a single shard after its first
+  // allocate; the Γ scan must still order every coflow, as serial does.
+  const Fabric fabric(1, gbps(1.0));
+  TraceBuilder builder(1);
+  for (int c = 0; c < 9; ++c) {
+    builder.begin_coflow(0.01 * c);
+    builder.add_flow(0, 0, megabits(10.0 * (9 - c)));
+  }
+  const Trace trace = builder.build();
+  SimOptions options;
+  options.record_intervals = false;
+  const auto serial = make_scheduler("varys");
+  const RunResult base = simulate(fabric, trace, *serial, options);
+  const auto sharded = make_scheduler("varys@4");
+  const RunResult run = simulate(fabric, trace, *sharded, options);
+  ASSERT_EQ(run.coflows.size(), base.coflows.size());
+  for (std::size_t k = 0; k < base.coflows.size(); ++k) {
+    EXPECT_EQ(run.coflows[k].cct, base.coflows[k].cct) << "coflow " << k;
   }
 }
 
