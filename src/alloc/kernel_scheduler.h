@@ -72,7 +72,7 @@ class KernelScheduler : public Scheduler {
   // subclasses that keep derived state on top of the counts.
   const LinkLoadState::CoflowLoad& track_arrival(const ActiveCoflow& coflow) {
     const LinkLoadState::CoflowLoad& load = state_.add_coflow(coflow);
-    perf_.links_touched += static_cast<long long>(load.touched.size());
+    perf_.links_touched += static_cast<long long>(load.rows.size());
     ++perf_.arrival_events;
     return load;
   }
@@ -86,7 +86,7 @@ class KernelScheduler : public Scheduler {
 
   LinkLoadState::CoflowLoad track_departure(CoflowId id) {
     LinkLoadState::CoflowLoad load = state_.remove_coflow(id);
-    perf_.links_touched += static_cast<long long>(load.touched.size());
+    perf_.links_touched += static_cast<long long>(load.rows.size());
     ++perf_.departure_events;
     return load;
   }

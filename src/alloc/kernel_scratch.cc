@@ -67,19 +67,27 @@ const FlowTable& KernelScratch::gather(const ScheduleInput& input,
   table_.dn = arena_.alloc<std::int32_t>(n);
   table_.rate = arena_.alloc<double>(n);
   const bool with_counts = counts != GatherCounts::kNone;
+  // Per-link divisor of the coflow being gathered, scattered from its
+  // rows. Entries other coflows left behind are never read: a flow's
+  // endpoints always carry rows of its own coflow, written just before.
+  std::int32_t* link_count = nullptr;
   if (with_counts) {
     table_.cnt_up = arena_.alloc<std::int32_t>(n);
     table_.cnt_dn = arena_.alloc<std::int32_t>(n);
+    link_count = arena_.alloc<std::int32_t>(
+        static_cast<std::size_t>(fabric.num_links()));
   }
 
   std::size_t row = 0;
   for (std::size_t k = 0; k < num_coflows; ++k) {
     const ActiveCoflow& coflow = input.coflows[k];
-    const std::vector<int>* divisor = nullptr;
     if (with_counts) {
       const LinkLoadState::CoflowLoad* load = state->find(coflow.id);
       NCDRF_CHECK(load != nullptr, "gather: coflow missing from load state");
-      divisor = counts == GatherCounts::kLive ? &load->live : &load->counted;
+      for (const LinkRow& r : load->rows) {
+        link_count[static_cast<std::size_t>(r.link)] =
+            counts == GatherCounts::kLive ? r.live : r.counted;
+      }
     }
     for (const ActiveFlow& f : coflow.flows) {
       NCDRF_CHECK(static_cast<unsigned>(f.src) <
@@ -93,8 +101,8 @@ const FlowTable& KernelScratch::gather(const ScheduleInput& input,
       table_.up[row] = u;
       table_.dn[row] = d;
       if (with_counts) {
-        table_.cnt_up[row] = (*divisor)[static_cast<std::size_t>(u)];
-        table_.cnt_dn[row] = (*divisor)[static_cast<std::size_t>(d)];
+        table_.cnt_up[row] = link_count[static_cast<std::size_t>(u)];
+        table_.cnt_dn[row] = link_count[static_cast<std::size_t>(d)];
       }
       ++row;
     }

@@ -13,71 +13,59 @@ LinkLoadState::LinkLoadState(bool count_finished_flows)
 void LinkLoadState::reset(const Fabric& fabric) {
   fabric_ = &fabric;
   coflows_.clear();
-  live_link_counts_.assign(static_cast<std::size_t>(fabric.num_links()), 0);
-  counted_coflows_on_link_.assign(
-      static_cast<std::size_t>(fabric.num_links()), 0);
-}
-
-void LinkLoadState::apply_flow(CoflowLoad& cs, MachineId src, MachineId dst,
-                               int sign, int counted_delta) {
-  const std::size_t u = index(fabric_->uplink(src));
-  const std::size_t d = index(fabric_->downlink(dst));
-  cs.live[u] += sign;
-  cs.live[d] += sign;
-  cs.live_flows += sign;
-  live_link_counts_[u] += sign;
-  live_link_counts_[d] += sign;
-  if (counted_delta != 0) {
-    // Links are only ever *added* to a coflow at arrival (finishing a flow
-    // never introduces a new link), so the 0→1 transition below fires at
-    // most once per (coflow, link) and `touched` stays duplicate-free.
-    cs.counted[u] += counted_delta;
-    cs.counted[d] += counted_delta;
-    cs.counted_flows += counted_delta;
-    for (const std::size_t l : {u, d}) {
-      if (counted_delta > 0 && cs.counted[l] == 1) {
-        cs.touched.push_back(static_cast<LinkId>(l));
-        counted_coflows_on_link_[l] += 1;
-      } else if (counted_delta < 0 && cs.counted[l] == 0) {
-        counted_coflows_on_link_[l] -= 1;
-      }
-    }
-  }
+  const auto links = static_cast<std::size_t>(fabric.num_links());
+  live_link_counts_.assign(links, 0);
+  counted_coflows_on_link_.assign(links, 0);
+  link_row_.resize(links);
 }
 
 const LinkLoadState::CoflowLoad& LinkLoadState::add_coflow(
     const ActiveCoflow& coflow) {
   NCDRF_CHECK(bound(), "LinkLoadState used before reset()");
   NCDRF_CHECK(coflow.weight > 0.0, "coflow weights must be positive");
-  const auto [it, inserted] = coflows_.try_emplace(coflow.id);
-  NCDRF_CHECK(inserted, "duplicate coflow arrival");
-  CoflowLoad& cs = it->second;
-  cs.weight = coflow.weight;
-  const auto links = static_cast<std::size_t>(fabric_->num_links());
-  cs.counted.assign(links, 0);
-  cs.live.assign(links, 0);
+  // Build the run in the scratch first, so an endpoint check that throws
+  // midway leaves the tracked state untouched. A link's scratch entry is
+  // its row only if it points into this run at a row for that link; any
+  // other value was left by an earlier arrival, so the scratch never needs
+  // resetting.
+  rows_scratch_.clear();
+  const auto count = [&](LinkId link, int live) {
+    auto r = static_cast<std::size_t>(link_row_[index(link)]);
+    if (r >= rows_scratch_.size() || rows_scratch_[r].link != link) {
+      r = rows_scratch_.size();
+      link_row_[index(link)] = static_cast<std::int32_t>(r);
+      rows_scratch_.push_back(LinkRow{link, 0, 0});
+    }
+    rows_scratch_[r].counted += 1;
+    rows_scratch_[r].live += live;
+  };
   for (const ActiveFlow& f : coflow.flows) {
-    apply_flow(cs, f.src, f.dst, +1, +1);
+    count(fabric_->uplink(f.src), 1);
+    count(fabric_->downlink(f.dst), 1);
   }
+  int counted_flows = static_cast<int>(coflow.flows.size());
   if (count_finished_flows_) {
     // Already-finished flows (snapshots adopted mid-run) stay counted
     // under stale presence semantics; they never contribute to `live`.
     for (const ActiveFlow& f : coflow.finished_flows) {
-      const std::size_t u = index(fabric_->uplink(f.src));
-      const std::size_t d = index(fabric_->downlink(f.dst));
-      cs.counted[u] += 1;
-      cs.counted[d] += 1;
-      cs.counted_flows += 1;
-      for (const std::size_t l : {u, d}) {
-        if (cs.counted[l] == 1) {
-          cs.touched.push_back(static_cast<LinkId>(l));
-          counted_coflows_on_link_[l] += 1;
-        }
-      }
+      count(fabric_->uplink(f.src), 0);
+      count(fabric_->downlink(f.dst), 0);
     }
+    counted_flows += static_cast<int>(coflow.finished_flows.size());
   }
-  for (const LinkId l : cs.touched) {
-    cs.bottleneck = std::max(cs.bottleneck, cs.counted[index(l)]);
+
+  const auto [it, inserted] = coflows_.try_emplace(coflow.id);
+  NCDRF_CHECK(inserted, "duplicate coflow arrival");
+  CoflowLoad& cs = it->second;
+  cs.weight = coflow.weight;
+  cs.live_flows = static_cast<int>(coflow.flows.size());
+  cs.counted_flows = counted_flows;
+  cs.rows.assign(rows_scratch_.begin(), rows_scratch_.end());
+  for (const LinkRow& row : cs.rows) {
+    // Every row holds at least one counted flow at arrival.
+    live_link_counts_[index(row.link)] += row.live;
+    counted_coflows_on_link_[index(row.link)] += 1;
+    cs.bottleneck = std::max(cs.bottleneck, row.counted);
   }
   return cs;
 }
@@ -89,18 +77,36 @@ const LinkLoadState::CoflowLoad& LinkLoadState::finish_flow(
   NCDRF_CHECK(it != coflows_.end(), "flow finish for untracked coflow");
   CoflowLoad& cs = it->second;
   NCDRF_CHECK(cs.live_flows > 0, "flow finish with no live flows");
-  apply_flow(cs, flow.src, flow.dst, -1, count_finished_flows_ ? 0 : -1);
+  const LinkId u = fabric_->uplink(flow.src);
+  const LinkId d = fabric_->downlink(flow.dst);
+  LinkRow* up = nullptr;
+  LinkRow* dn = nullptr;
+  for (LinkRow& row : cs.rows) {
+    if (row.link == u) up = &row;
+    if (row.link == d) dn = &row;
+    if (up != nullptr && dn != nullptr) break;
+  }
+  NCDRF_CHECK(up != nullptr && dn != nullptr && up->live > 0 && dn->live > 0,
+              "flow finish on a link its coflow has no live flow on");
+  up->live -= 1;
+  dn->live -= 1;
+  cs.live_flows -= 1;
+  live_link_counts_[index(u)] -= 1;
+  live_link_counts_[index(d)] -= 1;
+  // Stale counting: the flow stays counted until its coflow departs.
   if (count_finished_flows_) return cs;
+  up->counted -= 1;
+  dn->counted -= 1;
+  cs.counted_flows -= 1;
+  // The rows stay at zero, so the run never changes shape before the
+  // departure.
+  if (up->counted == 0) counted_coflows_on_link_[index(u)] -= 1;
+  if (dn->counted == 0) counted_coflows_on_link_[index(d)] -= 1;
   // Two counts fell by one, so n̄_k can only have fallen if one of them
   // sat at it.
-  const std::size_t u = index(fabric_->uplink(flow.src));
-  const std::size_t d = index(fabric_->downlink(flow.dst));
-  if (cs.counted[u] + 1 == cs.bottleneck ||
-      cs.counted[d] + 1 == cs.bottleneck) {
+  if (up->counted + 1 == cs.bottleneck || dn->counted + 1 == cs.bottleneck) {
     int fresh = 0;
-    for (const LinkId l : cs.touched) {
-      fresh = std::max(fresh, cs.counted[index(l)]);
-    }
+    for (const LinkRow& row : cs.rows) fresh = std::max(fresh, row.counted);
     cs.bottleneck = fresh;
   }
   return cs;
@@ -111,10 +117,9 @@ LinkLoadState::CoflowLoad LinkLoadState::remove_coflow(CoflowId id) {
   auto node = coflows_.extract(id);
   NCDRF_CHECK(!node.empty(), "departure for untracked coflow");
   CoflowLoad& cs = node.mapped();
-  for (const LinkId l : cs.touched) {
-    const std::size_t i = index(l);
-    live_link_counts_[i] -= cs.live[i];
-    if (cs.counted[i] > 0) counted_coflows_on_link_[i] -= 1;
+  for (const LinkRow& row : cs.rows) {
+    live_link_counts_[index(row.link)] -= row.live;
+    if (row.counted > 0) counted_coflows_on_link_[index(row.link)] -= 1;
   }
   return std::move(cs);
 }
@@ -153,6 +158,21 @@ void LinkLoadState::check_consistent(const ScheduleInput& input) const {
               "per-link live totals diverged from rebuild");
   NCDRF_CHECK(fresh.counted_coflows_on_link_ == counted_coflows_on_link_,
               "per-link coflow presence diverged from rebuild");
+  // Row order follows the event order, and live-mode maintenance keeps
+  // rows whose counts fell back to zero, which a fresh rebuild never
+  // writes. Compare the rows with a positive count as sets (rows of
+  // distinct links sort by link); a duplicated link makes the sets differ
+  // in size.
+  const auto positive_rows = [](const CoflowLoad& load) {
+    std::vector<LinkRow> rows;
+    for (const LinkRow& row : load.rows) {
+      NCDRF_CHECK(row.live >= 0 && row.live <= row.counted,
+                  "row live count outside [0, counted]");
+      if (row.counted > 0) rows.push_back(row);
+    }
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  };
   for (const auto& [id, cs] : fresh.coflows_) {
     const auto it = coflows_.find(id);
     NCDRF_CHECK(it != coflows_.end(), "coflow missing from tracked state");
@@ -163,26 +183,8 @@ void LinkLoadState::check_consistent(const ScheduleInput& input) const {
     NCDRF_CHECK(mine.live_flows == cs.live_flows &&
                     mine.counted_flows == cs.counted_flows,
                 "coflow flow totals diverged from rebuild");
-    NCDRF_CHECK(mine.counted == cs.counted && mine.live == cs.live,
+    NCDRF_CHECK(positive_rows(mine) == positive_rows(cs),
                 "per-link coflow counts diverged from rebuild");
-    // `touched` order may differ between event orderings, and live-mode
-    // incremental maintenance legitimately retains links whose last
-    // counted flow finished (counted back at zero) — a fresh rebuild never
-    // records those. Compare the effective sets: touched links whose count
-    // is still positive. The dense `counted` vectors were compared above,
-    // so this also proves every positive-count link is present in both.
-    const auto effective = [](const CoflowLoad& load) {
-      std::vector<LinkId> links;
-      for (const LinkId l : load.touched) {
-        if (load.counted[static_cast<std::size_t>(l)] > 0) {
-          links.push_back(l);
-        }
-      }
-      std::sort(links.begin(), links.end());
-      return links;
-    };
-    NCDRF_CHECK(effective(mine) == effective(cs),
-                "touched-link sets diverged from rebuild");
   }
 }
 

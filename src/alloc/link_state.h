@@ -6,26 +6,42 @@
 // The state tracks only integer quantities, so the incremental path is
 // *exact*: a sequence of delta updates always reproduces what a
 // from-scratch rebuild of the same snapshot would produce, bit for bit.
-// Tracked per coflow k:
 //
-//   * counted[i] — flows of k on link i, including finished flows when
-//     `count_finished_flows` (PS-P's and NC-DRF's "stale" semantics);
-//   * live[i]    — unfinished flows of k on link i (what HUG, Baraat,
-//     Aalo and FIFO divide by);
-//   * bottleneck — n̄_k = max_i counted[i], Algorithm 1's divisor;
-//   * touched    — links where counted[i] ever became positive, so
-//     per-coflow sweeps cost O(links the coflow uses), not O(links).
+// Row layout. A coflow's loads are one run of LinkRows, one per link its
+// counted flows touch, in first-touch order (flow order, uplink before
+// downlink; under stale counting a snapshot's finished flows follow its
+// live ones): the link, counted — flows of k on the link, including
+// finished flows when `count_finished_flows` (PS-P's and NC-DRF's "stale"
+// semantics) — and live — its unfinished flows there (what HUG, Baraat,
+// Aalo and FIFO divide by). A link the coflow does not touch has no row;
+// both its counts are exactly 0. Rows are written at arrival and kept
+// until departure: a live-counting finish can take a row's counts to 0,
+// and the row stays, so a run only ever changes in place. Next to the
+// run sit the bottleneck n̄_k = max over rows of counted (Algorithm 1's
+// divisor) and the flow totals.
+//
+// Rows are built through a link -> row scratch of L int32s. An entry is
+// trusted only when it points into the run being built at a row for its
+// link, so the scratch is never reset between arrivals, and an arrival
+// that throws midway leaves nothing behind. A coflow therefore costs
+// O(rows) memory — about 18 rows per FB-like coflow, at most two per
+// flow — not O(2m), and a warm rebuild (which the serve and deployment
+// planes run on every allocation) allocates the map node and one
+// exact-size row run per coflow and zeroes no per-coflow link vector.
 //
 // Globally: per-link live-flow totals (the per-flow fairness and
-// backfilling denominator) and the number of coflows with counted[i] > 0
-// (PS-P's inter-coflow split denominator).
+// backfilling denominator) and the number of coflows with a positive
+// counted row on each link (PS-P's inter-coflow split denominator).
 //
-// Delta updates cost O(links touched by the event); rebuild() is the
-// O(K·(F+L)) from-scratch reference, kept as the fallback for drivers
-// that never deliver events and as the oracle for check_consistent().
+// Delta updates cost O(rows of the coflow the event hits); rebuild() is
+// the O(flows + L) from-scratch reference, kept as the fallback for
+// drivers that never deliver events and as the oracle for
+// check_consistent().
 #pragma once
 
+#include <compare>
 #include <cstddef>
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -33,17 +49,24 @@
 
 namespace ncdrf {
 
+// One link a coflow's counted flows touch.
+struct LinkRow {
+  LinkId link = -1;
+  int counted = 0;  // includes finished flows when stale
+  int live = 0;     // unfinished flows only
+
+  friend auto operator<=>(const LinkRow&, const LinkRow&) = default;
+};
+
 class LinkLoadState {
  public:
   // Per-coflow link loads, exposed read-only to the policies.
   struct CoflowLoad {
     double weight = 1.0;
-    int bottleneck = 0;     // n̄_k = max_i counted[i]
+    int bottleneck = 0;     // n̄_k = max over rows of counted
     int live_flows = 0;     // |unfinished flows|
-    int counted_flows = 0;  // flows contributing to `counted`
-    std::vector<int> counted;     // includes finished flows when stale
-    std::vector<int> live;        // unfinished flows only
-    std::vector<LinkId> touched;  // links where counted ever became > 0
+    int counted_flows = 0;  // flows contributing to the counted column
+    std::vector<LinkRow> rows;  // first-touch order, kept until departure
   };
 
   // `count_finished_flows` selects PS-P's presence semantics: when true,
@@ -58,9 +81,9 @@ class LinkLoadState {
   // Delta updates. Each hands back the coflow's entry as the update left
   // it, and a departure the entry it removed, so a policy keeping derived
   // state on top of the counts needs no second lookup. An arrival or a
-  // departure writes the entry's `touched` links, a finish its two.
-  // n̄_k is set at arrival and, under live counting, recomputed by a
-  // finish only when a decremented link sat at it.
+  // departure writes the entry's rows, a finish its flow's two. n̄_k is
+  // set at arrival and, under live counting, recomputed by a finish only
+  // when a decremented row sat at it.
   const CoflowLoad& add_coflow(const ActiveCoflow& coflow);
   const CoflowLoad& finish_flow(const ActiveFlow& flow);
   CoflowLoad remove_coflow(CoflowId id);
@@ -86,7 +109,7 @@ class LinkLoadState {
     return live_link_counts_;
   }
 
-  // Number of coflows with counted[i] > 0, per link (PS-P's
+  // Number of coflows with a positive counted row, per link (PS-P's
   // coflows_on_link).
   const std::vector<int>& counted_coflows_on_link() const {
     return counted_coflows_on_link_;
@@ -107,17 +130,15 @@ class LinkLoadState {
     return static_cast<std::size_t>(link);
   }
 
-  // Counts one flow in (+1) or out (-1) of `cs`, maintaining the global
-  // per-link vectors; `counted_delta` is 0 for finish events under stale
-  // counting (the flow stays counted), else matches `sign`.
-  void apply_flow(CoflowLoad& cs, MachineId src, MachineId dst, int sign,
-                  int counted_delta);
-
   const Fabric* fabric_ = nullptr;
   bool count_finished_flows_;
   std::unordered_map<CoflowId, CoflowLoad> coflows_;
   std::vector<int> live_link_counts_;
   std::vector<int> counted_coflows_on_link_;
+  // Arrival scratch: the run being built, and link -> its row in the run
+  // (valid only where it points at a row for that link).
+  std::vector<LinkRow> rows_scratch_;
+  std::vector<std::int32_t> link_row_;
 };
 
 }  // namespace ncdrf

@@ -254,19 +254,37 @@ void ShardedPriorityFill::run(const ScheduleInput& input,
   const auto num_shards = static_cast<std::size_t>(plan.num_shards());
   const auto num_links = static_cast<std::size_t>(fabric.num_links());
 
-  // Flat flow ids and per-coflow loads, resolved serially so the parallel
-  // walk does no hash lookups.
+  // Flat flow ids and each flow's live counts at its two endpoints,
+  // resolved serially so the parallel walk does no hash lookups: each
+  // coflow's rows are scattered into a link-indexed scratch, then read
+  // per flow (its endpoints always carry rows of its own coflow).
   flat_offset_.assign(input.coflows.size() + 1, 0);
-  loads_.resize(input.coflows.size());
   for (std::size_t k = 0; k < input.coflows.size(); ++k) {
     flat_offset_[k + 1] =
         flat_offset_[k] +
         static_cast<std::int32_t>(input.coflows[k].flows.size());
-    loads_[k] = state.find(input.coflows[k].id);
-    NCDRF_CHECK(loads_[k] != nullptr, "link-load state missing a coflow");
   }
   const auto total_flows =
       static_cast<std::size_t>(flat_offset_[input.coflows.size()]);
+  live_up_.resize(total_flows);
+  live_dn_.resize(total_flows);
+  link_live_.resize(num_links);
+  for (std::size_t k = 0; k < input.coflows.size(); ++k) {
+    const ActiveCoflow& coflow = input.coflows[k];
+    const LinkLoadState::CoflowLoad* load = state.find(coflow.id);
+    NCDRF_CHECK(load != nullptr, "link-load state missing a coflow");
+    for (const LinkRow& row : load->rows) {
+      link_live_[static_cast<std::size_t>(row.link)] = row.live;
+    }
+    const auto base = static_cast<std::size_t>(flat_offset_[k]);
+    for (std::size_t j = 0; j < coflow.flows.size(); ++j) {
+      const ActiveFlow& f = coflow.flows[j];
+      live_up_[base + j] =
+          link_live_[static_cast<std::size_t>(fabric.uplink(f.src))];
+      live_dn_[base + j] =
+          link_live_[static_cast<std::size_t>(fabric.downlink(f.dst))];
+    }
+  }
   offer_up_.assign(total_flows, 0.0);
   offer_dn_.assign(total_flows, 0.0);
   if (residual_.size() < num_shards) residual_.resize(num_shards);
@@ -285,7 +303,6 @@ void ShardedPriorityFill::run(const ScheduleInput& input,
     }
     for (const std::size_t k : order) {
       const ActiveCoflow& coflow = input.coflows[k];
-      const LinkLoadState::CoflowLoad& load = *loads_[k];
       const auto base = static_cast<std::size_t>(flat_offset_[k]);
       for (std::size_t j = 0; j < coflow.flows.size(); ++j) {
         const ActiveFlow& f = coflow.flows[j];
@@ -294,16 +311,17 @@ void ShardedPriorityFill::run(const ScheduleInput& input,
         const bool own_u = plan.shard_of_link(fabric.uplink(f.src)) == shard;
         const bool own_d =
             plan.shard_of_link(fabric.downlink(f.dst)) == shard;
+        const int live_u = live_up_[base + j];
+        const int live_d = live_dn_[base + j];
         if (own_u && own_d) {
-          const double r = std::max(std::min(residual[u] / load.live[u],
-                                             residual[d] / load.live[d]),
-                                    0.0);
+          const double r = std::max(
+              std::min(residual[u] / live_u, residual[d] / live_d), 0.0);
           offer_up_[base + j] = r;
           offer_dn_[base + j] = r;
         } else if (own_u) {
-          offer_up_[base + j] = std::max(residual[u] / load.live[u], 0.0);
+          offer_up_[base + j] = std::max(residual[u] / live_u, 0.0);
         } else if (own_d) {
-          offer_dn_[base + j] = std::max(residual[d] / load.live[d], 0.0);
+          offer_dn_[base + j] = std::max(residual[d] / live_d, 0.0);
         }
       }
       for (std::size_t j = 0; j < coflow.flows.size(); ++j) {

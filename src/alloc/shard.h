@@ -191,7 +191,9 @@ class ShardedPriorityFill {
 
  private:
   std::vector<std::int32_t> flat_offset_;  // coflow index -> first flat id
-  std::vector<const LinkLoadState::CoflowLoad*> loads_;
+  // Flat flow id -> its coflow's live flows on the flow's endpoints.
+  std::vector<int> live_up_, live_dn_;
+  std::vector<int> link_live_;  // one coflow's rows scattered by LinkId
   std::vector<double> offer_up_, offer_dn_;  // flat flow id -> offers
   std::vector<std::vector<double>> residual_;  // per shard, by LinkId
 };

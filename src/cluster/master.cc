@@ -206,21 +206,23 @@ const ScheduleInput& Master::compute_allocation(
 
   if (scheduler_.clairvoyant()) {
     // Remaining = registered size − attained (heartbeat view). Registered
-    // sizes are required for clairvoyant policies. Filled for the *active*
-    // flows only — they are the only ids the scheduler may query, and a
-    // scan over every flow ever registered would make epoch cost grow with
-    // history instead of load.
-    FlowId max_id = 0;
-    for (const ActiveCoflow& coflow : view_.coflows) {
-      for (const ActiveFlow& f : coflow.flows) max_id = std::max(max_id, f.id);
-    }
-    remaining_estimate_.assign(static_cast<std::size_t>(max_id) + 1, 0.0);
+    // sizes are required for clairvoyant policies. Written for the
+    // *active* flows only — they are the only ids the scheduler may query.
+    // Flow ids are dense and grow with history, so the table only grows
+    // (geometrically) and keeps what earlier epochs wrote at retired ids:
+    // zeroing it up to the largest active id every epoch would make epoch
+    // cost grow with history instead of load.
     for (const ActiveCoflow& coflow : view_.coflows) {
       for (const ActiveFlow& f : coflow.flows) {
         const FlowState& fs = flow_states_.at(f.id);
         NCDRF_CHECK(fs.flow.size_bits > 0.0,
                     "clairvoyant scheduler needs registered flow sizes");
-        remaining_estimate_[static_cast<std::size_t>(f.id)] =
+        const auto id = static_cast<std::size_t>(f.id);
+        if (id >= remaining_estimate_.size()) {
+          remaining_estimate_.resize(
+              std::max(id + 1, 2 * remaining_estimate_.size()));
+        }
+        remaining_estimate_[id] =
             std::max(fs.flow.size_bits - fs.attained_bits, 0.0);
       }
     }

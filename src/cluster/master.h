@@ -161,7 +161,7 @@ class Master {
   long long flows_quarantined_ = 0;
   long long registrations_ignored_ = 0;
   // Remaining-size estimates (size − attained) for clairvoyant policies,
-  // indexed by FlowId; grown on demand.
+  // indexed by FlowId; grown geometrically, current at active ids only.
   mutable std::vector<double> remaining_estimate_;
   // The view and clairvoyant wrapper of the last compute_allocation call;
   // members so the returned ScheduleInput reference stays valid and the

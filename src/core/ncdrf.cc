@@ -40,16 +40,16 @@ bool near(double a, double b) {
          1e-9 * std::max({1.0, std::abs(a), std::abs(b)});
 }
 
-// Adds coflow `cs`'s terms w·n^i/n̄ and w·live^i/n̄ over its touched links.
+// Adds coflow `cs`'s terms w·n^i/n̄ and w·live^i/n̄ over its rows.
 // Dividing per link (not by a precomputed w/n̄) keeps a rebuild bitwise
 // equal to flow_count_progress's full scan.
 void add_shares(const LinkLoadState::CoflowLoad& cs, std::vector<double>& load,
                 std::vector<double>& usage) {
   if (cs.bottleneck <= 0) return;
-  for (const LinkId l : cs.touched) {
-    const auto i = static_cast<std::size_t>(l);
-    load[i] += cs.weight * cs.counted[i] / cs.bottleneck;
-    usage[i] += cs.weight * cs.live[i] / cs.bottleneck;
+  for (const LinkRow& row : cs.rows) {
+    const auto i = static_cast<std::size_t>(row.link);
+    load[i] += cs.weight * row.counted / cs.bottleneck;
+    usage[i] += cs.weight * row.live / cs.bottleneck;
   }
 }
 
@@ -114,17 +114,17 @@ void NcDrfScheduler::on_coflow_arrival(const ActiveCoflow& coflow) {
 
 void NcDrfScheduler::on_flow_finish(const ActiveFlow& flow) {
   if (!event_driven_) return;
+  // n̄_k before the finish. Under live counting the finish lowers two
+  // counts by one, so n̄_k falls by at most one; stale counting never
+  // moves it. (An untracked coflow reads 0 here; track_finish rejects it.)
+  const LinkLoadState::CoflowLoad* tracked = state_.find(flow.coflow);
+  const int old_bottleneck = tracked != nullptr ? tracked->bottleneck : 0;
   const LinkLoadState::CoflowLoad& cs = track_finish(flow);
   const Fabric& fabric = state_.fabric();
   const auto up = static_cast<std::size_t>(fabric.uplink(flow.src));
   const auto dn = static_cast<std::size_t>(fabric.downlink(flow.dst));
-  // Under live counting the finish lowered two counts by one, so n̄_k fell
-  // by at most one, and it fell exactly when one of the two now sits at
-  // the new n̄_k.
   const bool live_counting = !state_.count_finished_flows();
-  const bool shrank = live_counting && (cs.counted[up] == cs.bottleneck ||
-                                        cs.counted[dn] == cs.bottleneck);
-  const int old_bottleneck = shrank ? cs.bottleneck + 1 : cs.bottleneck;
+  const bool shrank = cs.bottleneck != old_bottleneck;
   const double share = cs.weight / old_bottleneck;
 
   const std::vector<int>& live = state_.live_link_counts();
@@ -141,10 +141,10 @@ void NcDrfScheduler::on_flow_finish(const ActiveFlow& flow) {
   const double old_inv = 1.0 / old_bottleneck;
   const double new_inv = cs.bottleneck > 0 ? 1.0 / cs.bottleneck : 0.0;
   const double rescale = cs.weight * (new_inv - old_inv);
-  for (const LinkId l : cs.touched) {
-    const auto i = static_cast<std::size_t>(l);
-    load_[i] += cs.counted[i] * rescale;
-    usage_[i] += cs.live[i] * rescale;
+  for (const LinkRow& row : cs.rows) {
+    const auto i = static_cast<std::size_t>(row.link);
+    load_[i] += row.counted * rescale;
+    usage_[i] += row.live * rescale;
   }
 }
 
@@ -162,12 +162,11 @@ void NcDrfScheduler::on_coflow_departure(CoflowId id) {
   if (cs.bottleneck <= 0) return;
   const std::vector<int>& live = state_.live_link_counts();
   const std::vector<int>& counted = state_.counted_coflows_on_link();
-  for (const LinkId l : cs.touched) {
-    const auto i = static_cast<std::size_t>(l);
-    take_back(load_, i, cs.weight * cs.counted[i] / cs.bottleneck,
+  for (const LinkRow& row : cs.rows) {
+    const auto i = static_cast<std::size_t>(row.link);
+    take_back(load_, i, cs.weight * row.counted / cs.bottleneck,
               counted[i] > 0);
-    take_back(usage_, i, cs.weight * cs.live[i] / cs.bottleneck,
-              live[i] > 0);
+    take_back(usage_, i, cs.weight * row.live / cs.bottleneck, live[i] > 0);
   }
 }
 

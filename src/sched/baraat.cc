@@ -48,14 +48,14 @@ Allocation BaraatScheduler::allocate(const ScheduleInput& input) {
     }
   }
 
-  // Coflows serving on each link; only the served coflows' touched links
-  // are visited (the per-coflow counts themselves live in LinkLoadState).
+  // Coflows serving on each link; only the served coflows' link rows are
+  // visited (the per-coflow counts themselves live in LinkLoadState).
   served_on_link_.assign(num_links, 0);
   for (const std::size_t k : served_) {
     const LinkLoadState::CoflowLoad& load = *state_.find(input.coflows[k].id);
-    for (const LinkId i : load.touched) {
-      if (load.live[static_cast<std::size_t>(i)] > 0) {
-        served_on_link_[static_cast<std::size_t>(i)] += 1;
+    for (const LinkRow& row : load.rows) {
+      if (row.live > 0) {
+        served_on_link_[static_cast<std::size_t>(row.link)] += 1;
       }
     }
   }

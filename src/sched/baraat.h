@@ -19,7 +19,7 @@
 // PriorityOrder (event-hook insert/erase instead of a per-call sort), the
 // per-link flow counts come from LinkLoadState, and the fill + backfill
 // run over the KernelScratch flow table. The served-coflow-per-link tally
-// walks only the served coflows' touched links.
+// walks only the served coflows' link rows.
 #pragma once
 
 #include <memory>

@@ -36,8 +36,8 @@ Allocation HugScheduler::allocate(const ScheduleInput& input) {
   for (std::size_t k = 0; k < num_coflows; ++k) {
     const LinkLoadState::CoflowLoad& load = *state_.find(input.coflows[k].id);
     std::int32_t active = 0;
-    for (const LinkId i : load.touched) {
-      if (load.live[static_cast<std::size_t>(i)] > 0) ++active;
+    for (const LinkRow& row : load.rows) {
+      if (row.live > 0) ++active;
     }
     slot_offset_[k + 1] = slot_offset_[k] + active;
   }
@@ -51,12 +51,11 @@ Allocation HugScheduler::allocate(const ScheduleInput& input) {
     const ActiveCoflow& coflow = input.coflows[k];
     const LinkLoadState::CoflowLoad& load = *state_.find(coflow.id);
     std::int32_t slot = slot_offset_[k];
-    for (const LinkId i : load.touched) {
-      const auto idx = static_cast<std::size_t>(i);
-      if (load.live[idx] == 0) continue;
-      slot_links_[static_cast<std::size_t>(slot)] = i;
-      slot_live_[static_cast<std::size_t>(slot)] = load.live[idx];
-      link_slot_scratch_[idx] = slot;
+    for (const LinkRow& row : load.rows) {
+      if (row.live == 0) continue;
+      slot_links_[static_cast<std::size_t>(slot)] = row.link;
+      slot_live_[static_cast<std::size_t>(slot)] = row.live;
+      link_slot_scratch_[static_cast<std::size_t>(row.link)] = slot;
       ++slot;
     }
     // Stale scratch entries from other coflows are never read: a flow's

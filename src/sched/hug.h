@@ -13,7 +13,7 @@
 // Kernel-layer backing: stage 1 shares the DemandCache with DRF (one
 // remaining-demand pass instead of the three the legacy implementation
 // paid), and stage 2 runs on a sparse (coflow, link) slot arena sized by
-// LinkLoadState's touched-links lists instead of dense coflows × links
+// LinkLoadState's per-coflow link rows instead of dense coflows × links
 // usage/budget matrices rebuilt every round.
 #pragma once
 
@@ -51,7 +51,7 @@ class HugScheduler : public KernelScheduler {
   std::unique_ptr<ShardRuntime> runtime_;  // null on the serial path
 
   // Stage-2 arena: one slot per (coflow, link the coflow has live flows
-  // on). Rebuilt each allocate() in O(Σ touched links + flows); rounds
+  // on). Rebuilt each allocate() in O(Σ link rows + flows); rounds
   // then cost O(slots + flows) instead of O(coflows · links).
   std::vector<std::int32_t> slot_offset_;   // per coflow index, size K+1
   std::vector<LinkId> slot_links_;          // slot -> link id

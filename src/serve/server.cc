@@ -46,7 +46,8 @@ ServeFront::ServeFront(const Fabric& fabric, Scheduler& scheduler,
         return o;
       }()),
       num_machines_(fabric.num_machines()),
-      master_(fabric, scheduler, options_.master) {
+      master_(fabric, scheduler, options_.master),
+      push_state_(static_cast<std::size_t>(fabric.num_machines())) {
   NCDRF_CHECK(num_clients >= 1, "serving front-end needs >= 1 client");
   NCDRF_CHECK(options_.epoch_s > 0.0, "epoch length must be positive");
   NCDRF_CHECK(options_.staleness_s >= 0.0,
@@ -241,30 +242,41 @@ void ServeFront::reallocate(double now) {
 }
 
 void ServeFront::push_rates(double now) {
-  // Machines with no live flows left dropped out of per_slave_; their
-  // slaves have nothing to enforce (every local flow finished), so the
-  // push state is simply discarded.
-  std::erase_if(push_state_, [&](const auto& entry) {
-    const auto it = std::lower_bound(
-        per_slave_.begin(), per_slave_.end(), entry.first,
-        [](const SlaveRates& a, MachineId m) { return a.machine < m; });
-    return it == per_slave_.end() || it->machine != entry.first;
-  });
+  // Machines with no live flows left dropped out of per_slave_ (sorted by
+  // machine id); their slaves have nothing to enforce (every local flow
+  // finished), so the push state is simply discarded.
+  auto fresh = per_slave_.begin();
+  for (std::size_t m = 0; m < push_state_.size(); ++m) {
+    if (fresh != per_slave_.end() &&
+        static_cast<std::size_t>(fresh->machine) == m) {
+      ++fresh;
+      continue;
+    }
+    push_state_[m].rates.clear();
+    push_state_[m].dirty_since = -1.0;
+  }
+  const auto by_flow = [](const std::pair<FlowId, double>& a,
+                          const std::pair<FlowId, double>& b) {
+    return a.first < b.first;
+  };
   for (const SlaveRates& sr : per_slave_) {
-    PushState& state = push_state_[sr.machine];
-    // Classify the fresh vector against the last pushed one.
-    bool structural = sr.msg.rates_bps.size() != state.rates.size();
+    PushState& state = push_state_[static_cast<std::size_t>(sr.machine)];
+    // Classify the fresh vector against the last pushed one: with both
+    // sorted by flow id and equally long, the flow sets agree exactly
+    // when every position pairs the same flow.
+    fresh_sorted_.assign(sr.msg.rates_bps.begin(), sr.msg.rates_bps.end());
+    if (!std::is_sorted(fresh_sorted_.begin(), fresh_sorted_.end(),
+                        by_flow)) {
+      std::sort(fresh_sorted_.begin(), fresh_sorted_.end(), by_flow);
+    }
+    bool structural = fresh_sorted_.size() != state.rates.size();
     bool magnitude = false;
-    if (!structural) {
-      for (const auto& [flow, rate] : sr.msg.rates_bps) {
-        const auto it = state.rates.find(flow);
-        if (it == state.rates.end()) {
-          structural = true;
-          break;
-        }
-        magnitude =
-            magnitude || diverged(it->second, rate, options_.push_threshold);
-      }
+    for (std::size_t i = 0; !structural && i < fresh_sorted_.size(); ++i) {
+      const auto& [flow, rate] = fresh_sorted_[i];
+      const auto& [pushed_flow, pushed_rate] = state.rates[i];
+      structural = flow != pushed_flow;
+      magnitude =
+          magnitude || diverged(pushed_rate, rate, options_.push_threshold);
     }
     if (!structural && !magnitude) {
       state.dirty_since = -1.0;  // converged back — nothing pending
@@ -287,10 +299,9 @@ void ServeFront::push_rates(double now) {
         state.dirty_since >= 0.0 ? now - state.dirty_since : 0.0;
     max_push_staleness_ = std::max(max_push_staleness_, staleness);
     epoch_staleness_ = std::max(epoch_staleness_, staleness);
-    state.rates.clear();
-    for (const auto& [flow, rate] : sr.msg.rates_bps) {
-      state.rates.emplace(flow, rate);
-      const auto it = awaiting_push_.find(flow);
+    state.rates.swap(fresh_sorted_);
+    for (const auto& entry : sr.msg.rates_bps) {
+      const auto it = awaiting_push_.find(entry.first);
       if (it != awaiting_push_.end()) {
         if (push_latency_ != nullptr) {
           push_latency_->observe(elapsed(now, it->second.submit));

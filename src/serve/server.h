@@ -37,11 +37,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <queue>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cluster/master.h"
@@ -189,10 +189,13 @@ class ServeFront {
       return time != other.time ? time > other.time : coflow > other.coflow;
     }
   };
-  // Last vector pushed to one slave, plus the staleness clock.
+  // Last vector pushed to one slave, plus the staleness clock. The rates
+  // are kept sorted by flow id, so a fresh vector (sorted the same way)
+  // is classified against them by one merge walk; empty = nothing pushed
+  // since the machine last had live flows.
   struct PushState {
-    std::map<FlowId, double> rates;  // ordered: comparison is a merge walk
-    double dirty_since = -1.0;       // first divergence time; <0 = clean
+    std::vector<std::pair<FlowId, double>> rates;
+    double dirty_since = -1.0;  // first divergence time; <0 = clean
   };
   // Causal stage clock of one admitted coflow: the span opened at
   // submission and closed by the first rate push that covers any of its
@@ -238,7 +241,10 @@ class ServeFront {
   Allocation alloc_;
   std::vector<SlaveRates> per_slave_;  // scratch, reused every epoch
   const ScheduleInput* last_view_ = nullptr;
-  std::unordered_map<MachineId, PushState> push_state_;
+  std::vector<PushState> push_state_;  // by machine id
+  // The slave being classified, its fresh vector sorted by flow id; swapped
+  // into its PushState when pushed.
+  std::vector<std::pair<FlowId, double>> fresh_sorted_;
 
   Backpressure level_ = Backpressure::kOk;
   long long epochs_ = 0;

@@ -101,6 +101,69 @@ std::vector<double> full_capacities(const Fabric& fabric) {
 
 // --- LinkLoadState --------------------------------------------------------
 
+// Per-link counts of one coflow as dense vectors over every link.
+struct DenseCounts {
+  std::vector<int> counted;
+  std::vector<int> live;
+};
+
+// Recomputed from the coflow's flows: counted adds its finished flows
+// under stale counting, live never does.
+DenseCounts dense_counts(const Fabric& fabric, const ActiveCoflow& coflow,
+                         bool stale) {
+  const auto links = static_cast<std::size_t>(fabric.num_links());
+  DenseCounts dense{std::vector<int>(links, 0), std::vector<int>(links, 0)};
+  const auto add = [&](const ActiveFlow& f, int live) {
+    for (const LinkId l : {fabric.uplink(f.src), fabric.downlink(f.dst)}) {
+      dense.counted[static_cast<std::size_t>(l)] += 1;
+      dense.live[static_cast<std::size_t>(l)] += live;
+    }
+  };
+  for (const ActiveFlow& f : coflow.flows) add(f, 1);
+  if (stale) {
+    for (const ActiveFlow& f : coflow.finished_flows) add(f, 0);
+  }
+  return dense;
+}
+
+// The coflow's rows scattered back over every link; a link has at most
+// one row.
+DenseCounts scatter_rows(const Fabric& fabric,
+                         const LinkLoadState::CoflowLoad& load) {
+  const auto links = static_cast<std::size_t>(fabric.num_links());
+  DenseCounts dense{std::vector<int>(links, 0), std::vector<int>(links, 0)};
+  std::vector<bool> seen(links, false);
+  for (const LinkRow& row : load.rows) {
+    const auto l = static_cast<std::size_t>(row.link);
+    EXPECT_FALSE(seen[l]) << "two rows for link " << row.link;
+    seen[l] = true;
+    dense.counted[l] = row.counted;
+    dense.live[l] = row.live;
+  }
+  return dense;
+}
+
+void expect_rows_match_dense(const LinkLoadState& state,
+                             const ScheduleInput& current, bool stale) {
+  for (const ActiveCoflow& coflow : current.coflows) {
+    const LinkLoadState::CoflowLoad* load = state.find(coflow.id);
+    ASSERT_NE(load, nullptr) << "coflow " << coflow.id;
+    const DenseCounts want = dense_counts(*current.fabric, coflow, stale);
+    const DenseCounts got = scatter_rows(*current.fabric, *load);
+    EXPECT_EQ(got.counted, want.counted) << "coflow " << coflow.id;
+    EXPECT_EQ(got.live, want.live) << "coflow " << coflow.id;
+    EXPECT_EQ(load->bottleneck,
+              *std::max_element(want.counted.begin(), want.counted.end()))
+        << "coflow " << coflow.id;
+  }
+}
+
+std::vector<LinkId> row_links(const LinkLoadState::CoflowLoad& load) {
+  std::vector<LinkId> links;
+  for (const LinkRow& row : load.rows) links.push_back(row.link);
+  return links;
+}
+
 TEST(LinkLoadStateTest, DeltasMatchRebuildLiveAndStale) {
   for (const bool stale : {false, true}) {
     Rng rng(stale ? 11u : 7u);
@@ -110,11 +173,15 @@ TEST(LinkLoadStateTest, DeltasMatchRebuildLiveAndStale) {
       state.reset(inst.fabric);
       ScheduleInput current;
       current.fabric = &inst.fabric;
+      // Each coflow's row links at arrival: finishes update rows in place
+      // and never add, drop or reorder one.
+      std::vector<std::vector<LinkId>> arrival_links;
 
       for (ActiveCoflow view : inst.input.coflows) {
-        state.add_coflow(view);
+        arrival_links.push_back(row_links(state.add_coflow(view)));
         current.coflows.push_back(std::move(view));
         state.check_consistent(current);
+        expect_rows_match_dense(state, current, stale);
       }
       // Finish flows one by one; depart emptied coflows.
       while (!current.coflows.empty()) {
@@ -127,17 +194,120 @@ TEST(LinkLoadStateTest, DeltasMatchRebuildLiveAndStale) {
         view.flows[f] = view.flows.back();
         view.flows.pop_back();
         view.finished_flows.push_back(finished);
-        state.finish_flow(finished);
+        EXPECT_EQ(row_links(state.finish_flow(finished)),
+                  arrival_links[static_cast<std::size_t>(view.id)]);
         if (view.flows.empty()) {
           state.remove_coflow(view.id);
           current.coflows[k] = std::move(current.coflows.back());
           current.coflows.pop_back();
         }
         state.check_consistent(current);
+        expect_rows_match_dense(state, current, stale);
       }
       EXPECT_EQ(state.num_coflows(), 0u);
+      const std::vector<int> zeros(
+          static_cast<std::size_t>(inst.fabric.num_links()), 0);
+      EXPECT_EQ(state.live_link_counts(), zeros);
+      EXPECT_EQ(state.counted_coflows_on_link(), zeros);
     }
   }
+}
+
+TEST(LinkLoadStateTest, RowsFollowFirstTouchOrder) {
+  const Fabric fabric(4, gbps(1.0));
+  for (const bool stale : {false, true}) {
+    LinkLoadState state(stale);
+    state.reset(fabric);
+    ActiveCoflow view;
+    view.id = 7;
+    view.flows = {ActiveFlow{0, 7, 2, 1}, ActiveFlow{1, 7, 2, 3},
+                  ActiveFlow{2, 7, 0, 1}};
+    view.finished_flows = {ActiveFlow{3, 7, 3, 0}};
+    const LinkLoadState::CoflowLoad& load = state.add_coflow(view);
+    // Flow order, uplink before downlink; a snapshot's finished flows
+    // follow its live ones, and count under stale counting only.
+    std::vector<LinkRow> want = {{fabric.uplink(2), 2, 2},
+                                 {fabric.downlink(1), 2, 2},
+                                 {fabric.downlink(3), 1, 1},
+                                 {fabric.uplink(0), 1, 1}};
+    if (stale) {
+      want.push_back({fabric.uplink(3), 1, 0});
+      want.push_back({fabric.downlink(0), 1, 0});
+    }
+    EXPECT_TRUE(load.rows == want) << "stale=" << stale;
+    EXPECT_EQ(load.bottleneck, 2);
+    EXPECT_EQ(load.live_flows, 3);
+    EXPECT_EQ(load.counted_flows, stale ? 4 : 3);
+  }
+}
+
+TEST(LinkLoadStateTest, LiveCountingKeepsZeroCountRowsUntilDeparture) {
+  const Fabric fabric(3, gbps(1.0));
+  LinkLoadState state(/*count_finished_flows=*/false);
+  state.reset(fabric);
+  ActiveCoflow view;
+  view.id = 0;
+  view.flows = {ActiveFlow{0, 0, 0, 1}, ActiveFlow{1, 0, 0, 2},
+                ActiveFlow{2, 0, 1, 2}};
+  const LinkId up0 = fabric.uplink(0);
+  const LinkId up1 = fabric.uplink(1);
+  const LinkId dn1 = fabric.downlink(1);
+  const LinkId dn2 = fabric.downlink(2);
+  EXPECT_EQ(state.add_coflow(view).bottleneck, 2);
+
+  // The downlink of machine 1 loses its only flow: its row stays, at zero.
+  const LinkLoadState::CoflowLoad& load = state.finish_flow(view.flows[0]);
+  EXPECT_TRUE(load.rows == (std::vector<LinkRow>{
+                               {up0, 1, 1}, {dn1, 0, 0}, {dn2, 2, 2},
+                               {up1, 1, 1}}));
+  EXPECT_EQ(load.bottleneck, 2);
+  EXPECT_EQ(state.counted_coflows_on_link()[static_cast<std::size_t>(dn1)],
+            0);
+  EXPECT_EQ(state.live_link_counts()[static_cast<std::size_t>(dn1)], 0);
+
+  // Flow 0→2 takes the uplink of machine 0 to zero and the downlink of
+  // machine 2, which sat at n̄_k, to 1; n̄_k falls with it.
+  state.finish_flow(view.flows[1]);
+  EXPECT_TRUE(load.rows == (std::vector<LinkRow>{
+                               {up0, 0, 0}, {dn1, 0, 0}, {dn2, 1, 1},
+                               {up1, 1, 1}}));
+  EXPECT_EQ(load.bottleneck, 1);
+
+  // A finish on a row with no live flow left is rejected untouched.
+  EXPECT_THROW(state.finish_flow(view.flows[0]), CheckError);
+  EXPECT_EQ(load.live_flows, 1);
+
+  const LinkLoadState::CoflowLoad removed = state.remove_coflow(0);
+  EXPECT_EQ(removed.rows.size(), 4u);
+  EXPECT_EQ(state.live_link_counts(), std::vector<int>(6, 0));
+  EXPECT_EQ(state.counted_coflows_on_link(), std::vector<int>(6, 0));
+}
+
+TEST(LinkLoadStateTest, RejectedArrivalLeavesNoTrace) {
+  // An arrival whose endpoint check throws midway must leave no tracked
+  // coflow and no stale link -> row entry the next arrival would trust.
+  const Fabric fabric(2, gbps(1.0));
+  LinkLoadState state(/*count_finished_flows=*/true);
+  state.reset(fabric);
+  ActiveCoflow bad;
+  bad.id = 0;
+  bad.flows = {ActiveFlow{0, 0, 0, 1}, ActiveFlow{1, 0, 5, 0}};
+  EXPECT_THROW(state.add_coflow(bad), CheckError);
+  EXPECT_EQ(state.find(0), nullptr);
+  EXPECT_EQ(state.live_link_counts(), std::vector<int>(4, 0));
+
+  ActiveCoflow good;
+  good.id = 1;
+  good.flows = {ActiveFlow{2, 1, 1, 0}, ActiveFlow{3, 1, 0, 1}};
+  const LinkLoadState::CoflowLoad& load = state.add_coflow(good);
+  EXPECT_TRUE(load.rows == (std::vector<LinkRow>{{fabric.uplink(1), 1, 1},
+                                                 {fabric.downlink(0), 1, 1},
+                                                 {fabric.uplink(0), 1, 1},
+                                                 {fabric.downlink(1), 1, 1}}));
+  ScheduleInput current;
+  current.fabric = &fabric;
+  current.coflows = {good};
+  state.check_consistent(current);
 }
 
 TEST(LinkLoadStateTest, MatchesDetectsDivergence) {
@@ -175,8 +345,12 @@ TEST(LinkLoadStateTest, StaleCountingKeepsFinishedFlowsCounted) {
   ASSERT_NE(load, nullptr);
   EXPECT_EQ(load->live_flows, 1);
   EXPECT_EQ(load->counted_flows, 2);
-  EXPECT_EQ(load->counted[static_cast<std::size_t>(fabric.uplink(0))], 1);
-  EXPECT_EQ(load->live[static_cast<std::size_t>(fabric.uplink(0))], 0);
+  EXPECT_EQ(load->bottleneck, 1);
+  // The finished flow's links keep their counted flow; only live fell.
+  EXPECT_TRUE(load->rows == (std::vector<LinkRow>{{fabric.uplink(0), 1, 0},
+                                                  {fabric.downlink(1), 1, 0},
+                                                  {fabric.uplink(1), 1, 1},
+                                                  {fabric.downlink(0), 1, 1}}));
   // The link the finished flow used still counts the coflow as present.
   EXPECT_EQ(state.counted_coflows_on_link()[static_cast<std::size_t>(
                 fabric.uplink(0))],

@@ -1,5 +1,6 @@
-// Degenerate instances for the clairvoyant family — drf, hug and varys,
-// serial and sharded — through the simulator with every allocation
+// Degenerate instances for every registry policy — each name in
+// scheduler_names(), serial and each sharded variant ("@2", "@4") the
+// registry accepts — through the simulator with every allocation
 // validated against link capacities. The contract: every coflow finishes
 // with a finite CCT, and no coflow finishes faster than its min_cct (its
 // bottleneck alone in the fabric). Shapes:
@@ -12,11 +13,16 @@
 // The epsilon shape checks finiteness only: the engine retires a flow of
 // exactly completion_epsilon_bits unsent, while min_cct counts that bit, so
 // a coflow can finish a hair under its min_cct.
+//
+// The suite keeps the name it had when it covered the clairvoyant family
+// alone, so the ids of those cases stay put.
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/check.h"
 #include "common/units.h"
 #include "core/registry.h"
 #include "sim/sim.h"
@@ -100,14 +106,29 @@ TEST_P(ClairvoyantDegenerate, OneMachineFabric) {
   expect_finishes(fabric, builder.build(), /*check_min_cct=*/true);
 }
 
+// Every registry name, each followed by the sharded variants the
+// registry accepts for it (the ncdrf policies and karma are serial only).
+std::vector<std::string> policy_variants() {
+  std::vector<std::string> variants;
+  for (const std::string& name : scheduler_names()) {
+    variants.push_back(name);
+    for (const char* shards : {"@2", "@4"}) {
+      try {
+        make_scheduler(name + shards);
+        variants.push_back(name + shards);
+      } catch (const CheckError&) {
+      }
+    }
+  }
+  return variants;
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    Policies, ClairvoyantDegenerate,
-    ::testing::Values("drf", "drf@2", "drf@4", "hug", "hug@2", "hug@4",
-                      "varys", "varys@2", "varys@4"),
+    Policies, ClairvoyantDegenerate, ::testing::ValuesIn(policy_variants()),
     [](const ::testing::TestParamInfo<std::string>& info) {
       std::string name = info.param;
       for (char& c : name) {
-        if (c == '@') c = '_';
+        if (c == '@' || c == '-') c = '_';
       }
       return name;
     });

@@ -5,7 +5,9 @@
 // shuffling, which used to make DemandCache's per-slot remaining-bits
 // vectors reallocate whenever a large coflow landed in a slot that last
 // held a small one — and a round of interleaved policy allocate() calls
-// must not allocate more than the previous round.
+// must not allocate more than the previous round. A warm
+// LinkLoadState::rebuild, which the serve and deployment planes run on
+// every allocation, allocates at most two blocks per coflow.
 //
 // The whole binary's global operator new/delete are replaced with
 // counting malloc/free wrappers (this test gets its own executable for
@@ -25,6 +27,7 @@
 
 #include "alloc/demand_cache.h"
 #include "alloc/kernel_scratch.h"
+#include "alloc/link_state.h"
 #include "alloc/waterfill.h"
 #include "common/rng.h"
 #include "common/units.h"
@@ -178,6 +181,26 @@ TEST(ScratchReuse, DemandCacheRefreshIsAllocationFreeUnderSlotShuffling) {
     EXPECT_GT(cache.drf_progress(snap.input), 0.0);
     std::rotate(snap.input.coflows.begin(),
                 snap.input.coflows.begin() + 1, snap.input.coflows.end());
+  }
+}
+
+TEST(ScratchReuse, LinkLoadStateWarmRebuildAllocatesAtMostTwoPerCoflow) {
+  // The serve and deployment planes hand the scheduler a bare snapshot on
+  // every allocation, so each one rebuilds LinkLoadState from scratch.
+  const Fabric fabric(150, gbps(1.0));
+  const Trace trace = random_trace(fabric, 19, 1000, 4);
+  const Snapshot snap = snapshot_all_active(fabric, trace, false);
+  const auto num_coflows = static_cast<long long>(snap.input.coflows.size());
+  for (const bool stale : {true, false}) {
+    LinkLoadState state(stale);
+    state.rebuild(snap.input);
+    state.rebuild(snap.input);
+    // The map node and one exact-size row run per coflow; the link -> row
+    // scratch, the per-link totals and the map's buckets are reused.
+    EXPECT_LE(count_allocations([&] { state.rebuild(snap.input); }),
+              2 * num_coflows)
+        << "stale=" << stale;
+    EXPECT_EQ(state.num_coflows(), snap.input.coflows.size());
   }
 }
 
