@@ -1,4 +1,4 @@
-// Shard-scaling benchmark: events/s of the kernel-backed policies under
+// Shard-scaling benchmark: events/s of the sharded policies (drf, tcp) under
 // the scripted finish/depart/arrive event replay (one allocate() per
 // event, as in bench_sched_scalability) across a {policy × shard-count ×
 // coflow-count} matrix on a Facebook-trace-shaped fabric (150 racks,
@@ -47,14 +47,13 @@ namespace {
 using namespace ncdrf;
 
 struct BenchConfig {
-  std::vector<std::string> policies = {"drf", "fifo", "tcp", "aalo"};
+  std::vector<std::string> policies = {"drf", "tcp"};
   std::vector<int> shards = {1, 2, 4, 8};
   std::vector<int> coflows = {10000};
   int racks = 150;
   int triples = 10;  // 3 events each
   int max_flows_per_coflow = 64;
   double locality = 0.9;
-  ShardReconcile reconcile;
   std::string json_path;
 };
 
@@ -64,8 +63,6 @@ struct Row {
   int coflows = 0;
   int racks = 0;
   double locality = 0.0;
-  int fp_iters = 0;
-  double fp_tol = 0.0;
   long long events = 0;
   double wall_seconds = 0.0;
   double main_cpu_seconds = 0.0;
@@ -169,7 +166,6 @@ Row run_cell(const BenchConfig& config, const Workload& workload,
   input.fabric = &workload.fabric;
   input.coflows = workload.pristine;
   input.clairvoyant = workload.info.get();
-  input.reconcile = config.reconcile;
 
   SchedulerOptions options;
   options.shards = shards;
@@ -240,8 +236,6 @@ Row run_cell(const BenchConfig& config, const Workload& workload,
   row.coflows = num_coflows;
   row.racks = config.racks;
   row.locality = config.locality;
-  row.fp_iters = config.reconcile.max_iterations;
-  row.fp_tol = config.reconcile.tolerance;
   row.events = 3LL * config.triples;
   row.wall_seconds =
       std::chrono::duration<double>(wall_end - wall_start).count();
@@ -262,14 +256,12 @@ void write_json(const std::vector<Row>& rows, std::ostream& out) {
     std::snprintf(
         buffer, sizeof(buffer),
         "    {\"policy\": \"%s\", \"shards\": %d, \"coflows\": %d, "
-        "\"racks\": %d, \"locality\": %.3f, \"fp_iters\": %d, "
-        "\"fp_tol\": %g, \"events\": %lld, "
+        "\"racks\": %d, \"locality\": %.3f, \"events\": %lld, "
         "\"wall_seconds\": %.6f, \"wall_events_per_s\": %.1f, "
         "\"main_cpu_seconds\": %.6f, \"shard_busy_seconds\": %.6f, "
         "\"shard_critical_seconds\": %.6f, \"modeled_seconds\": %.6f, "
         "\"modeled_events_per_s\": %.1f}%s\n",
-        r.policy.c_str(), r.shards, r.coflows, r.racks, r.locality,
-        r.fp_iters, r.fp_tol, r.events,
+        r.policy.c_str(), r.shards, r.coflows, r.racks, r.locality, r.events,
         r.wall_seconds,
         r.wall_seconds > 0.0 ? static_cast<double>(r.events) / r.wall_seconds
                              : 0.0,
@@ -305,18 +297,13 @@ int main(int argc, char** argv) {
       config.max_flows_per_coflow = std::stoi(value("--max-flows="));
     } else if (arg.rfind("--locality=", 0) == 0) {
       config.locality = std::stod(value("--locality="));
-    } else if (arg.rfind("--fp-iters=", 0) == 0) {
-      config.reconcile.max_iterations = std::stoi(value("--fp-iters="));
-    } else if (arg.rfind("--fp-tol=", 0) == 0) {
-      config.reconcile.tolerance = std::stod(value("--fp-tol="));
     } else if (arg.rfind("--json=", 0) == 0) {
       config.json_path = value("--json=");
     } else {
       std::cerr << "unknown argument: " << arg << "\n"
                 << "usage: bench_scale [--policies=a,b] [--shards=1,4] "
                    "[--coflows=10000] [--racks=150] [--triples=10] "
-                   "[--max-flows=64] [--locality=0.9] [--fp-iters=N] "
-                   "[--fp-tol=T] [--json=out.json]\n";
+                   "[--max-flows=64] [--locality=0.9] [--json=out.json]\n";
       return 2;
     }
   }

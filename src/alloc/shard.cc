@@ -4,13 +4,21 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <limits>
+#include <string>
 
 #include "common/check.h"
 #include "obs/perf.h"
 
 namespace ncdrf {
+namespace {
+
+// ShardedWaterfill's cross-shard reconcile: at most this many rounds, and
+// a flow stays active while both its links keep more than this share of
+// their capacity scale.
+constexpr int kReconcileRounds = 2;
+constexpr double kReconcileTolerance = 1e-4;
+
+}  // namespace
 
 double thread_cpu_seconds() {
 #if defined(CLOCK_THREAD_CPUTIME_ID)
@@ -58,6 +66,8 @@ bool ShardPlan::matches(const Fabric& fabric, int num_shards) const {
 std::unique_ptr<ShardRuntime> ShardRuntime::create(
     const SchedulerOptions& options) {
   NCDRF_CHECK(options.shards >= 1, "shard count must be positive");
+  NCDRF_CHECK(options.shards <= kMaxShards,
+              "shard count must be at most " + std::to_string(kMaxShards));
   if (options.shards <= 1) return nullptr;
   return std::make_unique<ShardRuntime>(options.shards);
 }
@@ -122,7 +132,6 @@ void ShardRuntime::drain_timers(SchedPerf& perf) {
 void ShardedWaterfill::solve(const Fabric& fabric, ShardRuntime& runtime,
                              const std::vector<WaterfillFlow>& flows,
                              const std::vector<double>& available_bps,
-                             const ShardReconcile& reconcile,
                              std::vector<double>& rates_out) {
   const std::size_t n = flows.size();
   rates_out.assign(n, 0.0);
@@ -139,7 +148,7 @@ void ShardedWaterfill::solve(const Fabric& fabric, ShardRuntime& runtime,
   tol_.resize(num_links);
   for (std::size_t i = 0; i < num_links; ++i) {
     residual_[i] = std::max(available_bps[i], 0.0);
-    tol_[i] = reconcile.tolerance * std::max(available_bps[i], 1.0);
+    tol_[i] = kReconcileTolerance * std::max(available_bps[i], 1.0);
   }
 
   offer_up_.resize(n);
@@ -163,8 +172,7 @@ void ShardedWaterfill::solve(const Fabric& fabric, ShardRuntime& runtime,
     }
   });
 
-  const int max_iterations = std::max(reconcile.max_iterations, 1);
-  for (int iter = 0; iter < max_iterations; ++iter) {
+  for (int iter = 0; iter < kReconcileRounds; ++iter) {
     // Solve + publish: independent masked solves against the shared
     // residual snapshot; each shard writes the offer slot(s) of the
     // endpoint side(s) it owns (a local flow gets both from one shard).
@@ -216,7 +224,7 @@ void ShardedWaterfill::solve(const Fabric& fabric, ShardRuntime& runtime,
     for (std::size_t s = 0; s < num_shards; ++s) {
       any_progress = any_progress || shard_progress_[s] != 0;
     }
-    if (!any_progress || iter + 1 == max_iterations) break;
+    if (!any_progress || iter + 1 == kReconcileRounds) break;
 
     // Keep only flows whose both endpoint links retain slack beyond the
     // convergence tolerance; stop once every list has drained.
@@ -242,133 +250,6 @@ void ShardedWaterfill::solve(const Fabric& fabric, ShardRuntime& runtime,
       any_active = any_active || shard_progress_[s] != 0;
     }
     if (!any_active) break;
-  }
-}
-
-void ShardedPriorityFill::run(const ScheduleInput& input,
-                              const LinkLoadState& state,
-                              const std::vector<std::size_t>& order,
-                              ShardRuntime& runtime, Allocation& alloc) {
-  const Fabric& fabric = *input.fabric;
-  const ShardPlan& plan = runtime.bind(fabric);
-  const auto num_shards = static_cast<std::size_t>(plan.num_shards());
-  const auto num_links = static_cast<std::size_t>(fabric.num_links());
-
-  // Flat flow ids and each flow's live counts at its two endpoints,
-  // resolved serially so the parallel walk does no hash lookups: each
-  // coflow's rows are scattered into a link-indexed scratch, then read
-  // per flow (its endpoints always carry rows of its own coflow).
-  flat_offset_.assign(input.coflows.size() + 1, 0);
-  for (std::size_t k = 0; k < input.coflows.size(); ++k) {
-    flat_offset_[k + 1] =
-        flat_offset_[k] +
-        static_cast<std::int32_t>(input.coflows[k].flows.size());
-  }
-  const auto total_flows =
-      static_cast<std::size_t>(flat_offset_[input.coflows.size()]);
-  live_up_.resize(total_flows);
-  live_dn_.resize(total_flows);
-  link_live_.resize(num_links);
-  for (std::size_t k = 0; k < input.coflows.size(); ++k) {
-    const ActiveCoflow& coflow = input.coflows[k];
-    const LinkLoadState::CoflowLoad* load = state.find(coflow.id);
-    NCDRF_CHECK(load != nullptr, "link-load state missing a coflow");
-    for (const LinkRow& row : load->rows) {
-      link_live_[static_cast<std::size_t>(row.link)] = row.live;
-    }
-    const auto base = static_cast<std::size_t>(flat_offset_[k]);
-    for (std::size_t j = 0; j < coflow.flows.size(); ++j) {
-      const ActiveFlow& f = coflow.flows[j];
-      live_up_[base + j] =
-          link_live_[static_cast<std::size_t>(fabric.uplink(f.src))];
-      live_dn_[base + j] =
-          link_live_[static_cast<std::size_t>(fabric.downlink(f.dst))];
-    }
-  }
-  offer_up_.assign(total_flows, 0.0);
-  offer_dn_.assign(total_flows, 0.0);
-  if (residual_.size() < num_shards) residual_.resize(num_shards);
-
-  // Every shard walks the full priority order against its own links:
-  // offers snapshot the residuals as of the coflow's start (pass 1), then
-  // the whole coflow's usage is subtracted (pass 2) — the same even-split
-  // semantics as the serial fill. A shard-local flow gets its exact joint
-  // rate; a cross-shard flow gets two one-sided offers.
-  runtime.parallel_shards([&](int shard) {
-    std::vector<double>& residual =
-        residual_[static_cast<std::size_t>(shard)];
-    residual.resize(num_links);
-    for (LinkId i = 0; i < fabric.num_links(); ++i) {
-      residual[static_cast<std::size_t>(i)] = fabric.capacity(i);
-    }
-    for (const std::size_t k : order) {
-      const ActiveCoflow& coflow = input.coflows[k];
-      const auto base = static_cast<std::size_t>(flat_offset_[k]);
-      for (std::size_t j = 0; j < coflow.flows.size(); ++j) {
-        const ActiveFlow& f = coflow.flows[j];
-        const auto u = static_cast<std::size_t>(fabric.uplink(f.src));
-        const auto d = static_cast<std::size_t>(fabric.downlink(f.dst));
-        const bool own_u = plan.shard_of_link(fabric.uplink(f.src)) == shard;
-        const bool own_d =
-            plan.shard_of_link(fabric.downlink(f.dst)) == shard;
-        const int live_u = live_up_[base + j];
-        const int live_d = live_dn_[base + j];
-        if (own_u && own_d) {
-          const double r = std::max(
-              std::min(residual[u] / live_u, residual[d] / live_d), 0.0);
-          offer_up_[base + j] = r;
-          offer_dn_[base + j] = r;
-        } else if (own_u) {
-          offer_up_[base + j] = std::max(residual[u] / live_u, 0.0);
-        } else if (own_d) {
-          offer_dn_[base + j] = std::max(residual[d] / live_d, 0.0);
-        }
-      }
-      for (std::size_t j = 0; j < coflow.flows.size(); ++j) {
-        const ActiveFlow& f = coflow.flows[j];
-        const auto u = static_cast<std::size_t>(fabric.uplink(f.src));
-        const auto d = static_cast<std::size_t>(fabric.downlink(f.dst));
-        const bool own_u = plan.shard_of_link(fabric.uplink(f.src)) == shard;
-        const bool own_d =
-            plan.shard_of_link(fabric.downlink(f.dst)) == shard;
-        if (own_u) {
-          residual[u] = std::max(residual[u] - offer_up_[base + j], 0.0);
-        }
-        if (own_d) {
-          residual[d] = std::max(residual[d] - offer_dn_[base + j], 0.0);
-        }
-      }
-    }
-  });
-
-  // Serial merge: a flow realizes the minimum of its endpoint offers.
-  for (std::size_t k = 0; k < input.coflows.size(); ++k) {
-    const ActiveCoflow& coflow = input.coflows[k];
-    const auto base = static_cast<std::size_t>(flat_offset_[k]);
-    for (std::size_t j = 0; j < coflow.flows.size(); ++j) {
-      alloc.set_rate(coflow.flows[j].id,
-                     std::max(std::min(offer_up_[base + j],
-                                       offer_dn_[base + j]),
-                              0.0));
-    }
-  }
-}
-
-void ShardedBackfill::run(const ScheduleInput& input, ShardRuntime& runtime,
-                          Allocation& alloc) {
-  residual_capacity(input, alloc, residual_);
-  for (double& r : residual_) r = std::max(r, 0.0);
-
-  flows_.clear();
-  for (const ActiveCoflow& coflow : input.coflows) {
-    for (const ActiveFlow& flow : coflow.flows) {
-      flows_.push_back({flow.id, flow.src, flow.dst, 1.0});
-    }
-  }
-  waterfill_.solve(*input.fabric, runtime, flows_, residual_,
-                   input.reconcile, rates_);
-  for (std::size_t k = 0; k < flows_.size(); ++k) {
-    if (rates_[k] > 0.0) alloc.add_rate(flows_[k].id, rates_[k]);
   }
 }
 

@@ -25,11 +25,12 @@ namespace ncdrf {
 //   "fifo"        Orchestra-style FIFO
 //   "baraat"      FIFO-LM (decentralized task-aware)
 //
-// Any kernel-backed name takes an optional "@N" suffix ("drf@4",
-// "fifo@8") selecting the sharded execution path with N link shards —
-// shorthand for the SchedulerOptions overload below. The ncdrf* policies
-// and karma have no sharded path and accept only N == 1.
-// Throws CheckError on an unknown name.
+// "drf" and "tcp" take an optional "@N" suffix ("drf@4", "tcp@8")
+// selecting the sharded execution path with N link shards, 1 <= N <= 64 —
+// shorthand for the SchedulerOptions overload below. Every other policy
+// computes its allocation centrally, as the paper does, and accepts only
+// N == 1: at 4 shards none of them ran 1.5x faster than serial.
+// Throws CheckError on an unknown name or an unsupported shard count.
 std::unique_ptr<Scheduler> make_scheduler(const std::string& name);
 
 // Same factory with explicit scheduler-wide options (shard count). The

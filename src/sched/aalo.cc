@@ -9,11 +9,8 @@
 
 namespace ncdrf {
 
-AaloScheduler::AaloScheduler(AaloOptions options,
-                             SchedulerOptions sched_options)
-    : KernelScheduler(/*count_finished_flows=*/false),
-      options_(options),
-      runtime_(ShardRuntime::create(sched_options)) {
+AaloScheduler::AaloScheduler(AaloOptions options)
+    : KernelScheduler(/*count_finished_flows=*/false), options_(options) {
   NCDRF_CHECK(options_.initial_queue_limit_bits > 0.0,
               "Q0 must be positive");
   NCDRF_CHECK(options_.exchange_rate > 1.0, "exchange rate must exceed 1");
@@ -63,19 +60,6 @@ Allocation AaloScheduler::allocate(const ScheduleInput& input) {
   }
 
   Allocation alloc;
-
-  if (runtime_ != nullptr && runtime_->bind(fabric).num_shards() > 1) {
-    alloc.reserve(static_cast<std::size_t>(live_flows_hint(input)));
-    sharded_fill_.run(input, state_, order_, *runtime_, alloc);
-    if (options_.work_conserving) {
-      BackfillScope backfill(perf_);
-      perf_.backfill_rounds += 1;
-      sharded_backfill_.run(input, *runtime_, alloc);
-    }
-    runtime_->drain_timers(perf_);
-    return alloc;
-  }
-
   const FlowTable& table =
       scratch_.gather(input, &state_, GatherCounts::kLive);
 

@@ -23,13 +23,11 @@
 // KernelScratch flow table.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "alloc/kernel_scheduler.h"
 #include "alloc/kernel_scratch.h"
 #include "alloc/priority_state.h"
-#include "alloc/shard.h"
 #include "alloc/waterfill.h"
 
 namespace ncdrf {
@@ -43,8 +41,7 @@ struct AaloOptions {
 
 class AaloScheduler : public KernelScheduler {
  public:
-  explicit AaloScheduler(AaloOptions options = {},
-                         SchedulerOptions sched_options = {});
+  explicit AaloScheduler(AaloOptions options = {});
 
   std::string name() const override { return "Aalo"; }
   bool clairvoyant() const override { return false; }
@@ -89,9 +86,6 @@ class AaloScheduler : public KernelScheduler {
   std::vector<std::size_t> order_;
   std::vector<double> residual_;
   ResidualBackfill backfill_;
-  std::unique_ptr<ShardRuntime> runtime_;  // null on the serial path
-  ShardedPriorityFill sharded_fill_;
-  ShardedBackfill sharded_backfill_;
 };
 
 }  // namespace ncdrf

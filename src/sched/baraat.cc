@@ -14,11 +14,8 @@ const std::vector<double> kNoBucketBounds;  // arrival order never changes
 
 }  // namespace
 
-BaraatScheduler::BaraatScheduler(BaraatOptions options,
-                                 SchedulerOptions sched_options)
-    : KernelScheduler(/*count_finished_flows=*/false),
-      options_(options),
-      runtime_(ShardRuntime::create(sched_options)) {
+BaraatScheduler::BaraatScheduler(BaraatOptions options)
+    : KernelScheduler(/*count_finished_flows=*/false), options_(options) {
   NCDRF_CHECK(options_.heavy_threshold_bits > 0.0,
               "heavy threshold must be positive");
 }
@@ -87,15 +84,6 @@ Allocation BaraatScheduler::allocate(const ScheduleInput& input) {
   Allocation alloc;
   if (options_.work_conserving) {
     perf_.backfill_rounds += 1;
-    if (runtime_ != nullptr && runtime_->bind(fabric).num_shards() > 1) {
-      KernelScratch::commit(table, alloc);
-      {
-        BackfillScope backfill(perf_);
-        sharded_backfill_.run(input, *runtime_, alloc);
-      }
-      runtime_->drain_timers(perf_);
-      return alloc;
-    }
     BackfillScope backfill(perf_);
     backfill_.run(fabric, table);
   }

@@ -22,13 +22,11 @@
 // walks only the served coflows' link rows.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "alloc/kernel_scheduler.h"
 #include "alloc/kernel_scratch.h"
 #include "alloc/priority_state.h"
-#include "alloc/shard.h"
 #include "alloc/waterfill.h"
 
 namespace ncdrf {
@@ -42,8 +40,7 @@ struct BaraatOptions {
 
 class BaraatScheduler : public KernelScheduler {
  public:
-  explicit BaraatScheduler(BaraatOptions options = {},
-                           SchedulerOptions sched_options = {});
+  explicit BaraatScheduler(BaraatOptions options = {});
 
   std::string name() const override { return "Baraat"; }
   bool clairvoyant() const override { return false; }
@@ -80,11 +77,6 @@ class BaraatScheduler : public KernelScheduler {
   std::vector<int> served_on_link_;
   std::vector<double> capacities_;
   ResidualBackfill backfill_;
-  // The FIFO-LM fill itself is a small served prefix and stays serial;
-  // only the work-conserving residual pass — the bulk of the per-call
-  // work at scale — runs sharded.
-  std::unique_ptr<ShardRuntime> runtime_;  // null on the serial path
-  ShardedBackfill sharded_backfill_;
 };
 
 }  // namespace ncdrf

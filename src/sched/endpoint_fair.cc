@@ -79,29 +79,8 @@ Allocation EndpointFairScheduler::allocate(const ScheduleInput& input) {
     capacities_[static_cast<std::size_t>(i)] = fabric.capacity(i);
   }
 
-  Allocation alloc;
-  if (runtime_ != nullptr && runtime_->bind(fabric).num_shards() > 1) {
-    // The sharded solver reconciles per-shard AoS problems; only this
-    // branch still builds WaterfillFlow records.
-    flows_.clear();
-    flows_.reserve(static_cast<std::size_t>(live_flows_hint(input)));
-    for (const ActiveCoflow& coflow : input.coflows) {
-      for (const ActiveFlow& f : coflow.flows) {
-        flows_.push_back({f.id, f.src, f.dst, 1.0 / entity_size_.at(key(f))});
-      }
-    }
-    sharded_.solve(fabric, *runtime_, flows_, capacities_, input.reconcile,
-                   rates_);
-    runtime_->drain_timers(perf_);
-    alloc.reserve(flows_.size());
-    for (std::size_t k = 0; k < flows_.size(); ++k) {
-      alloc.set_rate(flows_[k].id, rates_[k]);
-    }
-    return alloc;
-  }
-
-  // Serial path: gather the SoA columns, fill a weight column from the
-  // entity sizes (same flow order as the gather), and solve in place.
+  // Gather the SoA columns, fill a weight column from the entity sizes
+  // (same flow order as the gather), and solve in place.
   const FlowTable& table =
       scratch_.gather(input, /*state=*/nullptr, GatherCounts::kNone);
   double* weight = scratch_.arena().alloc<double>(table.num_flows);
@@ -115,6 +94,7 @@ Allocation EndpointFairScheduler::allocate(const ScheduleInput& input) {
                                  weight};
   kernel_.solve(fabric, problem, capacities_, /*link_mask=*/nullptr,
                 table.rate);
+  Allocation alloc;
   KernelScratch::commit(table, alloc);
   return alloc;
 }

@@ -16,14 +16,12 @@
 #pragma once
 
 #include <map>
-#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "alloc/kernel_scheduler.h"
 #include "alloc/kernel_scratch.h"
-#include "alloc/shard.h"
 #include "alloc/waterfill.h"
 
 namespace ncdrf {
@@ -32,11 +30,8 @@ enum class FairnessEntity { kSource, kSourceDestinationPair };
 
 class EndpointFairScheduler : public KernelScheduler {
  public:
-  explicit EndpointFairScheduler(FairnessEntity entity,
-                                 SchedulerOptions options = {})
-      : KernelScheduler(/*count_finished_flows=*/false),
-        entity_(entity),
-        runtime_(ShardRuntime::create(options)) {}
+  explicit EndpointFairScheduler(FairnessEntity entity)
+      : KernelScheduler(/*count_finished_flows=*/false), entity_(entity) {}
 
   std::string name() const override {
     return entity_ == FairnessEntity::kSource ? "PerSource" : "PerPair";
@@ -66,12 +61,8 @@ class EndpointFairScheduler : public KernelScheduler {
   std::unordered_map<CoflowId, std::vector<EntityKey>> coflow_keys_;
 
   WaterfillKernel kernel_;
-  KernelScratch scratch_;  // serial path solves over the gathered columns
-  std::unique_ptr<ShardRuntime> runtime_;  // null on the serial path
-  ShardedWaterfill sharded_;
-  std::vector<WaterfillFlow> flows_;  // sharded-solver AoS build only
+  KernelScratch scratch_;
   std::vector<double> capacities_;
-  std::vector<double> rates_;
 };
 
 }  // namespace ncdrf

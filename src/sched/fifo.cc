@@ -28,19 +28,6 @@ Allocation FifoScheduler::allocate(const ScheduleInput& input) {
   }
 
   Allocation alloc;
-
-  if (runtime_ != nullptr && runtime_->bind(fabric).num_shards() > 1) {
-    alloc.reserve(static_cast<std::size_t>(live_flows_hint(input)));
-    sharded_fill_.run(input, state_, order_, *runtime_, alloc);
-    if (options_.work_conserving) {
-      BackfillScope backfill(perf_);
-      perf_.backfill_rounds += 1;
-      sharded_backfill_.run(input, *runtime_, alloc);
-    }
-    runtime_->drain_timers(perf_);
-    return alloc;
-  }
-
   const FlowTable& table =
       scratch_.gather(input, &state_, GatherCounts::kLive);
 

@@ -15,13 +15,11 @@
 // LinkLoadState.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "alloc/kernel_scheduler.h"
 #include "alloc/kernel_scratch.h"
 #include "alloc/priority_state.h"
-#include "alloc/shard.h"
 #include "alloc/waterfill.h"
 
 namespace ncdrf {
@@ -32,11 +30,8 @@ struct FifoOptions {
 
 class FifoScheduler : public KernelScheduler {
  public:
-  explicit FifoScheduler(FifoOptions options = {},
-                         SchedulerOptions sched_options = {})
-      : KernelScheduler(/*count_finished_flows=*/false),
-        options_(options),
-        runtime_(ShardRuntime::create(sched_options)) {}
+  explicit FifoScheduler(FifoOptions options = {})
+      : KernelScheduler(/*count_finished_flows=*/false), options_(options) {}
 
   std::string name() const override { return "FIFO"; }
   bool clairvoyant() const override { return false; }
@@ -67,9 +62,6 @@ class FifoScheduler : public KernelScheduler {
   std::vector<std::size_t> order_;
   std::vector<double> residual_;
   ResidualBackfill backfill_;
-  std::unique_ptr<ShardRuntime> runtime_;  // null on the serial path
-  ShardedPriorityFill sharded_fill_;
-  ShardedBackfill sharded_backfill_;
 };
 
 }  // namespace ncdrf

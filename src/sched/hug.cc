@@ -13,13 +13,10 @@ Allocation HugScheduler::allocate(const ScheduleInput& input) {
               "HUG requires clairvoyant remaining-size information");
   NCDRF_CHECK(options_.spare_rounds >= 0, "spare rounds must be >= 0");
 
-  // Stage 1: DRF allocation at the optimal isolation guarantee. The
-  // sharded runtime parallelizes the demand refresh and the P* reduction;
-  // stage 2's slot arena stays serial (it is already O(slots + flows)).
+  // Stage 1: DRF allocation at the optimal isolation guarantee.
   Allocation alloc;
-  cache_.refresh(input, runtime_.get());
-  const double p_star = drf_allocate(input, cache_, runtime_.get(), alloc);
-  if (runtime_ != nullptr) runtime_->drain_timers(perf_);
+  cache_.refresh(input);
+  const double p_star = drf_allocate(input, cache_, alloc);
   if (p_star <= 0.0) return alloc;
 
   const Fabric& fabric = *input.fabric;

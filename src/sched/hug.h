@@ -18,12 +18,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "alloc/demand_cache.h"
 #include "alloc/kernel_scheduler.h"
-#include "alloc/shard.h"
 
 namespace ncdrf {
 
@@ -35,11 +33,8 @@ struct HugOptions {
 
 class HugScheduler : public KernelScheduler {
  public:
-  explicit HugScheduler(HugOptions options = {},
-                        SchedulerOptions sched_options = {})
-      : KernelScheduler(/*count_finished_flows=*/false),
-        options_(options),
-        runtime_(ShardRuntime::create(sched_options)) {}
+  explicit HugScheduler(HugOptions options = {})
+      : KernelScheduler(/*count_finished_flows=*/false), options_(options) {}
 
   std::string name() const override { return "HUG"; }
   bool clairvoyant() const override { return true; }
@@ -48,7 +43,6 @@ class HugScheduler : public KernelScheduler {
  private:
   HugOptions options_;
   DemandCache cache_;
-  std::unique_ptr<ShardRuntime> runtime_;  // null on the serial path
 
   // Stage-2 arena: one slot per (coflow, link the coflow has live flows
   // on). Rebuilt each allocate() in O(Σ link rows + flows); rounds

@@ -25,8 +25,7 @@ Allocation PerFlowScheduler::allocate(const ScheduleInput& input) {
         flows_.push_back({flow.id, flow.src, flow.dst, 1.0});
       }
     }
-    sharded_.solve(fabric, *runtime_, flows_, capacities_, input.reconcile,
-                   rates_);
+    sharded_.solve(fabric, *runtime_, flows_, capacities_, rates_);
     runtime_->drain_timers(perf_);
     alloc.reserve(flows_.size());
     for (std::size_t k = 0; k < flows_.size(); ++k) {

@@ -48,40 +48,20 @@ Allocation PspScheduler::allocate(const ScheduleInput& input) {
       coflow_share_[i] =
           coflows_on_link[i] > 0 ? residual_[i] / coflows_on_link[i] : 0.0;
     }
-    // The round's rate for row j depends only on the hoisted shares, and
-    // parallel blocks accumulate disjoint rows, so the sharded sweep is
-    // bit-identical to the serial one. A round that assigns nothing ends
-    // the redistribution (same break the legacy `assigned` sum produced:
-    // only positive rates were ever added to it).
-    const auto sweep = [&](std::size_t begin, std::size_t end) {
-      bool any = false;
-      for (std::size_t j = begin; j < end; ++j) {
-        const auto u = static_cast<std::size_t>(table.up[j]);
-        const auto d = static_cast<std::size_t>(table.dn[j]);
-        const double up_share = coflow_share_[u] / table.cnt_up[j];
-        const double down_share = coflow_share_[d] / table.cnt_dn[j];
-        const double r = std::max(std::min(up_share, down_share), 0.0);
-        if (r > 0.0) {
-          table.rate[j] += r;
-          any = true;
-        }
-      }
-      return any;
-    };
+    // A round that assigns nothing ends the redistribution (same break the
+    // legacy `assigned` sum produced: only positive rates were ever added
+    // to it).
     bool any_assigned = false;
-    if (runtime_ != nullptr) {
-      block_any_.assign(
-          static_cast<std::size_t>(runtime_->num_shards()), 0);
-      runtime_->parallel_blocks(
-          table.num_coflows,
-          [&](int block, std::size_t begin, std::size_t end) {
-            if (sweep(table.begin_of(begin), table.begin_of(end))) {
-              block_any_[static_cast<std::size_t>(block)] = 1;
-            }
-          });
-      for (const char flag : block_any_) any_assigned |= flag != 0;
-    } else {
-      any_assigned = sweep(0, table.num_flows);
+    for (std::size_t j = 0; j < table.num_flows; ++j) {
+      const auto u = static_cast<std::size_t>(table.up[j]);
+      const auto d = static_cast<std::size_t>(table.dn[j]);
+      const double up_share = coflow_share_[u] / table.cnt_up[j];
+      const double down_share = coflow_share_[d] / table.cnt_dn[j];
+      const double r = std::max(std::min(up_share, down_share), 0.0);
+      if (r > 0.0) {
+        table.rate[j] += r;
+        any_assigned = true;
+      }
     }
     if (!any_assigned) break;
     // Recompute residuals for the next redistribution round from the
@@ -101,7 +81,6 @@ Allocation PspScheduler::allocate(const ScheduleInput& input) {
   // skip_zero: the legacy path only ever add_rate'd positive rates, so
   // flows whose total stayed 0.0 must stay absent from the allocation.
   KernelScratch::commit(table, alloc, /*skip_zero=*/true);
-  if (runtime_ != nullptr) runtime_->drain_timers(perf_);
   return alloc;
 }
 

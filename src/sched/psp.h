@@ -15,16 +15,14 @@
 // LinkLoadState, maintained incrementally under event-driven drivers
 // instead of rebuilt as a dense coflows × links matrix every call. The
 // redistribution rounds accumulate into the KernelScratch rate column —
-// one flat sweep per round, serial and sharded paths sharing the same
-// arithmetic — and positive totals are committed once at the end.
+// one flat sweep per round — and positive totals are committed once at
+// the end.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "alloc/kernel_scheduler.h"
 #include "alloc/kernel_scratch.h"
-#include "alloc/shard.h"
 
 namespace ncdrf {
 
@@ -42,11 +40,8 @@ struct PspOptions {
 
 class PspScheduler : public KernelScheduler {
  public:
-  explicit PspScheduler(PspOptions options = {},
-                        SchedulerOptions sched_options = {})
-      : KernelScheduler(options.count_finished_flows),
-        options_(options),
-        runtime_(ShardRuntime::create(sched_options)) {}
+  explicit PspScheduler(PspOptions options = {})
+      : KernelScheduler(options.count_finished_flows), options_(options) {}
 
   std::string name() const override { return "PS-P"; }
   bool clairvoyant() const override { return false; }
@@ -57,12 +52,6 @@ class PspScheduler : public KernelScheduler {
   KernelScratch scratch_;
   std::vector<double> residual_;
   std::vector<double> coflow_share_;  // residual_[i] / coflows_on_link[i]
-  // Sharded path: per-flow shares accumulate into disjoint rate-column
-  // rows in parallel (each flow's rate depends only on the round's hoisted
-  // shares), so the sharded PS-P is bit-identical to the serial one for
-  // every trace.
-  std::unique_ptr<ShardRuntime> runtime_;  // null on the serial path
-  std::vector<char> block_any_;  // per-block "assigned anything" flags
 };
 
 }  // namespace ncdrf

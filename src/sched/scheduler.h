@@ -80,32 +80,11 @@ class ClairvoyantInfo {
   const std::vector<double>* remaining_bits_;
 };
 
-// Knobs for the cross-shard reconciliation pass of the sharded allocation
-// paths (src/alloc/shard.h). When a policy runs with shards > 1, each
-// allocation solves one subproblem per link shard in parallel and then
-// reconciles flows whose endpoints live in different shards with a bounded
-// fixed-point loop: up to `max_iterations` rounds, stopping early once
-// every flow has a saturated endpoint link (residual within `tolerance`
-// relative to the link's capacity scale). Irrelevant at shards == 1, where
-// the serial path runs unchanged.
-//
-// Defaults trade a sliver of work conservation for latency: two rounds at
-// 1e-4 relative slack recover ~99% of the serial allocator's total rate on
-// locality-0.9 Facebook-shaped traces, while every extra round re-solves
-// the flows adjacent to released slack (on skewed fabrics that cascade
-// keeps 30-60% of flows active per round, roughly doubling critical-path
-// cost by round 8 for ~1% more rate). Raise max_iterations / drop
-// tolerance when allocation quality matters more than event latency.
-struct ShardReconcile {
-  int max_iterations = 2;
-  double tolerance = 1e-4;
-};
-
 // Construction-time knobs shared by every policy the registry can build.
 // `shards` > 1 partitions the fabric into that many contiguous rack groups
 // and runs the allocation kernels per shard on a scheduler-owned thread
-// pool (see alloc/shard.h); shards == 1 keeps the serial path, which is
-// bit-identical to the pre-shard code.
+// pool (see alloc/shard.h); only drf and tcp accept it. shards == 1 keeps
+// the serial path, which is bit-identical to the pre-shard code.
 struct SchedulerOptions {
   int shards = 1;
 };
@@ -130,9 +109,6 @@ struct ScheduleInput {
   // and flow lists without an extra O(coflows) pass; it never affects the
   // allocation itself.
   int total_live_flows = -1;
-  // Cross-shard reconciliation knobs, read only by schedulers built with
-  // SchedulerOptions::shards > 1.
-  ShardReconcile reconcile;
 };
 
 class Scheduler {

@@ -28,29 +28,16 @@ Allocation VarysScheduler::allocate(const ScheduleInput& input) {
   // Effective bottleneck completion time of each coflow at full capacity.
   // Only the coflow's demand rows are scanned — a link without a row holds
   // exactly 0.0 demand and cannot raise the max, so the sparse scan equals
-  // the dense one bit for bit. Each coflow's Γ reads only its own rows, so
-  // the scans parallelize over coflow blocks with per-k results unchanged.
-  cache_.refresh(input, runtime_.get());
+  // the dense one bit for bit.
+  cache_.refresh(input);
   gamma_.assign(input.coflows.size(), 0.0);
-  const auto gamma_of = [&](std::size_t k) {
+  for (std::size_t k = 0; k < input.coflows.size(); ++k) {
     double g = 0.0;
     for (const DemandRow& row : cache_.rows(k)) {
       g = std::max(g, row.bits /
                           capacities_[static_cast<std::size_t>(row.link)]);
     }
-    return g;
-  };
-  if (runtime_ != nullptr) {
-    runtime_->parallel_blocks(input.coflows.size(),
-                              [&](int, std::size_t begin, std::size_t end) {
-                                for (std::size_t k = begin; k < end; ++k) {
-                                  gamma_[k] = gamma_of(k);
-                                }
-                              });
-  } else {
-    for (std::size_t k = 0; k < input.coflows.size(); ++k) {
-      gamma_[k] = gamma_of(k);
-    }
+    gamma_[k] = g;
   }
 
   // SEBF order: smallest Γ first, id as a deterministic tiebreak.
@@ -102,24 +89,10 @@ Allocation VarysScheduler::allocate(const ScheduleInput& input) {
   Allocation alloc;
   if (options_.work_conserving) {
     perf_.backfill_rounds += 1;
-    if (runtime_ != nullptr && runtime_->bind(fabric).num_shards() > 1) {
-      KernelScratch::commit(table, alloc);
-      {
-        BackfillScope backfill(perf_);
-        sharded_backfill_.run(input, *runtime_, alloc);
-      }
-      runtime_->drain_timers(perf_);
-      perf_.allocate_seconds +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      return alloc;
-    }
     BackfillScope backfill(perf_);
     backfill_.run(fabric, table);
   }
   KernelScratch::commit(table, alloc);
-  if (runtime_ != nullptr) runtime_->drain_timers(perf_);
   perf_.allocate_seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

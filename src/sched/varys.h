@@ -18,12 +18,10 @@
 // table, and the residual pass is the shared water-filling kernel.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "alloc/demand_cache.h"
 #include "alloc/kernel_scratch.h"
-#include "alloc/shard.h"
 #include "alloc/waterfill.h"
 #include "obs/perf.h"
 #include "sched/scheduler.h"
@@ -36,9 +34,7 @@ struct VarysOptions {
 
 class VarysScheduler : public Scheduler {
  public:
-  explicit VarysScheduler(VarysOptions options = {},
-                          SchedulerOptions sched_options = {})
-      : options_(options), runtime_(ShardRuntime::create(sched_options)) {}
+  explicit VarysScheduler(VarysOptions options = {}) : options_(options) {}
 
   std::string name() const override { return "Varys"; }
   bool clairvoyant() const override { return true; }
@@ -48,11 +44,6 @@ class VarysScheduler : public Scheduler {
  private:
   VarysOptions options_;
   DemandCache cache_;
-  // Sharded path: demand refresh and the per-coflow Γ scans run in
-  // parallel blocks; the sequential MADD walk stays serial and the
-  // residual pass becomes ShardedBackfill.
-  std::unique_ptr<ShardRuntime> runtime_;  // null on the serial path
-  ShardedBackfill sharded_backfill_;
   KernelScratch scratch_;
   std::vector<double> gamma_;
   std::vector<std::size_t> order_;

@@ -56,7 +56,6 @@ struct DynamicSimulator::Impl {
     NCDRF_CHECK(options.completion_epsilon_bits > 0.0,
                 "completion epsilon must be positive");
     input.fabric = &fabric;
-    input.reconcile = options.reconcile;
     const auto links = static_cast<std::size_t>(fabric.num_links());
     scratch_link_alloc.assign(links, 0.0);
     scratch_live.assign(links, 0);

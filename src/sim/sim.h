@@ -63,11 +63,6 @@ struct SimOptions {
   // O(active flows) per event).
   bool verify_snapshot = false;
 
-  // Cross-shard reconciliation knobs, forwarded into every snapshot's
-  // ScheduleInput::reconcile. Only read by schedulers built with
-  // SchedulerOptions::shards > 1.
-  ShardReconcile reconcile;
-
   // Hard safety limits; exceeding either throws (misbehaving scheduler).
   double max_time_s = 1e9;
   long long max_events = 100'000'000;

@@ -1,14 +1,17 @@
 // Degenerate instances for every registry policy — each name in
 // scheduler_names(), serial and each sharded variant ("@2", "@4") the
-// registry accepts — through the simulator with every allocation
-// validated against link capacities. The contract: every coflow finishes
-// with a finite CCT, and no coflow finishes faster than its min_cct (its
-// bottleneck alone in the fabric). Shapes:
+// registry accepts, which today means drf and tcp only — through the
+// simulator with every allocation validated against link capacities. The
+// contract: every coflow finishes with a finite CCT, and no coflow
+// finishes faster than its min_cct (its bottleneck alone in the fabric).
+// Shapes:
 //   * a 10^4-flow coflow on one (uplink, downlink) pair next to a 2-flow
 //     coflow;
 //   * coflow weights 1e12 and 1e-12 on one link;
 //   * flows at the 1-bit completion epsilon;
-//   * a one-machine fabric.
+//   * a one-machine fabric;
+//   * one hot uplink that every flow of six weighted coflows leaves by,
+//     next to an incast.
 //
 // The epsilon shape checks finiteness only: the engine retires a flow of
 // exactly completion_epsilon_bits unsent, while min_cct counts that bit, so
@@ -106,8 +109,27 @@ TEST_P(ClairvoyantDegenerate, OneMachineFabric) {
   expect_finishes(fabric, builder.build(), /*check_min_cct=*/true);
 }
 
+TEST_P(ClairvoyantDegenerate, OneHotLinkCarriesEverything) {
+  // Six coflows 10 ms apart, weights 1-6 and 1-6 flows, all leaving
+  // machine 0; a 5-flow incast into machine 1 shares that machine's
+  // downlink with the hot uplink's traffic.
+  const Fabric fabric(6, gbps(1.0));
+  TraceBuilder builder(6);
+  for (int c = 0; c < 6; ++c) {
+    builder.begin_coflow(0.01 * c, /*weight=*/c + 1.0);
+    for (int f = 0; f <= c; ++f) {
+      builder.add_flow(0, 1 + f % 5, megabits(10.0 * (f + 1)));
+    }
+  }
+  builder.begin_coflow(0.015);
+  for (const MachineId src : {0, 2, 3, 4, 5}) {
+    builder.add_flow(src, 1, megabits(20.0));
+  }
+  expect_finishes(fabric, builder.build(), /*check_min_cct=*/true);
+}
+
 // Every registry name, each followed by the sharded variants the
-// registry accepts for it (the ncdrf policies and karma are serial only).
+// registry accepts for it (only drf and tcp have a sharded path).
 std::vector<std::string> policy_variants() {
   std::vector<std::string> variants;
   for (const std::string& name : scheduler_names()) {

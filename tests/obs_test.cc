@@ -316,13 +316,9 @@ TEST(SchedPerfTest, EveryCountedBackfillStageIsTimed) {
   std::vector<std::pair<std::string, std::unique_ptr<Scheduler>>> cells;
   for (const std::string& name : scheduler_names()) {
     cells.emplace_back(name, make_scheduler(name));
-    // The ncdrf family and karma have no sharded path.
-    if (name.rfind("ncdrf", 0) != 0 && name != "karma") {
-      cells.emplace_back(name + "@2",
-                         make_scheduler(name, SchedulerOptions{.shards = 2}));
-    }
   }
-  // DRF backfills only as an ablation.
+  // DRF backfills only as an ablation, and is the one sharded path that
+  // backfills.
   const DrfOptions ablation{.work_conserving = true};
   cells.emplace_back("drf+backfill", std::make_unique<DrfScheduler>(ablation));
   cells.emplace_back("drf+backfill@2",
@@ -341,10 +337,8 @@ TEST(SchedPerfTest, EveryCountedBackfillStageIsTimed) {
     }
   }
   // Not vacuous: every backfilling family counted a stage on this snapshot.
-  for (const char* label :
-       {"aalo", "aalo@2", "fifo", "fifo@2", "varys", "varys@2", "baraat",
-        "baraat@2", "hug", "hug@2", "ncdrf", "drf+backfill",
-        "drf+backfill@2"}) {
+  for (const char* label : {"aalo", "fifo", "varys", "baraat", "hug", "ncdrf",
+                            "drf+backfill", "drf+backfill@2"}) {
     EXPECT_EQ(counted.count(label), 1u) << label;
   }
 }

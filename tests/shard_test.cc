@@ -1,5 +1,5 @@
 // Tests for the link-shard layer (alloc/shard.h) and the sharded
-// execution paths of the kernel-backed policies:
+// execution paths of drf and tcp, the two policies that keep one:
 //
 //   * ShardPlan partitions machines/links exactly once and nests across
 //     power-of-two shard counts;
@@ -9,9 +9,8 @@
 //     traces, and bounded divergence + feasibility on cross-shard traces;
 //   * the sharded DemandCache refresh caches exactly the serial rows, and
 //     parallel_blocks covers every index when the plan is clamped;
-//   * the registry's "@N" suffix, SchedPerf shard counters, SimOptions
-//     reconcile forwarding, and the Theorem 1 envelope with a sharded
-//     clairvoyant-DRF baseline.
+//   * the registry's "@N" suffix and its bounds, SchedPerf shard counters,
+//     and the Theorem 1 envelope with a sharded clairvoyant-DRF baseline.
 #include <algorithm>
 #include <atomic>
 #include <memory>
@@ -221,15 +220,10 @@ TEST(ThreadPool, DistinctPoolsNestWithoutInterference) {
 // Policies whose sharded path must reproduce the serial rates exactly on
 // fully shard-local traces (every per-shard subproblem is the serial
 // problem restricted to that shard's links).
-const char* const kExactPolicies[] = {"tcp", "fifo", "aalo", "psp",
-                                      "varys"};
-// The remaining policies agree with serial to fp noise only: drf and hug
-// reduce per-block partial sums in block order, baraat's sharded backfill
-// subtracts the fill's residual in a different order than its serial
-// pass, and the endpoint-fair weighted waterfill accumulates freeze
-// levels in a different order per shard than globally.
-const char* const kNearPolicies[] = {"drf", "hug", "baraat", "persource",
-                                     "perpair"};
+const char* const kExactPolicies[] = {"tcp"};
+// drf agrees with serial to fp noise only: it reduces per-block partial
+// sums in block order.
+const char* const kNearPolicies[] = {"drf"};
 
 TEST(ShardEquivalence, LocalTracesMatchSerialBitwise) {
   const Fabric fabric(32, gbps(1.0));
@@ -267,175 +261,6 @@ TEST(ShardEquivalence, LocalTracesMatchSerialClosely) {
   }
 }
 
-TEST(ShardEquivalence, PspShardedIsBitwiseExactEvenCrossShard) {
-  // psp's sharded path only parallelizes the per-flow share arithmetic
-  // and applies serially in the serial order, so it is exact for every
-  // trace, not just local ones.
-  const Fabric fabric(32, gbps(1.0));
-  const Trace trace = grouped_trace(fabric, 4, 13, 40, 6, /*locality=*/0.5);
-  const Snapshot snap = snapshot_all_active(fabric, trace, true);
-  const Allocation serial = run_alloc("psp", 1, snap);
-  const Allocation sharded = run_alloc("psp", 4, snap);
-  for (const ActiveCoflow& c : snap.input.coflows) {
-    for (const ActiveFlow& f : c.flows) {
-      EXPECT_EQ(serial.rate(f.id), sharded.rate(f.id)) << "flow " << f.id;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Sharded priority fill over the incremental (event-maintained) queue
-// state: the run_alloc cases above feed arrivals once and allocate once,
-// so they never exercise ShardedPriorityFill consuming an order that
-// PriorityOrder maintained through churn. These do — the serial and
-// sharded schedulers see the identical event stream (finishes,
-// departures, pristine re-arrivals, attained-service drift) and must stay
-// in lockstep at every step.
-
-// One churned world driving a serial and a sharded build of the same
-// policy through identical event hooks.
-class ChurnPair {
- public:
-  ChurnPair(const std::string& name, const Fabric& fabric,
-            const Trace& trace, std::uint64_t seed)
-      : rng_(seed), snap_(snapshot_all_active(fabric, trace, true)) {
-    SchedulerOptions four;
-    four.shards = 4;
-    serial_ = make_scheduler(name);
-    sharded_ = make_scheduler(name, four);
-    for (const ActiveCoflow& view : snap_.input.coflows) {
-      pristine_.push_back(view);
-    }
-    pristine_sizes_ = *snap_.remaining;
-    for (Scheduler* s : schedulers()) {
-      if (!s->wants_events()) continue;
-      s->on_reset(fabric);
-      for (const ActiveCoflow& c : snap_.input.coflows) {
-        s->on_coflow_arrival(c);
-      }
-    }
-  }
-
-  ScheduleInput& input() { return snap_.input; }
-  Allocation allocate_serial() { return serial_->allocate(snap_.input); }
-  Allocation allocate_sharded() { return sharded_->allocate(snap_.input); }
-
-  // Drift + one flow finish (departing a drained coflow) + an occasional
-  // pristine re-arrival of a departed coflow, all mirrored into both
-  // schedulers' hooks.
-  void step() {
-    for (ActiveCoflow& view : snap_.input.coflows) {
-      double moved = 0.0;
-      for (const ActiveFlow& f : view.flows) {
-        double& rem = (*snap_.remaining)[static_cast<std::size_t>(f.id)];
-        const double delta = rem * rng_.uniform(0.0, 0.4);
-        rem -= delta;
-        moved += delta;
-      }
-      view.attained_bits += moved;
-    }
-    if (!snap_.input.coflows.empty()) {
-      const auto k = static_cast<std::size_t>(rng_.uniform_int(
-          0, static_cast<std::int64_t>(snap_.input.coflows.size()) - 1));
-      ActiveCoflow& view = snap_.input.coflows[k];
-      const ActiveFlow finished = view.flows.back();
-      view.flows.pop_back();
-      view.finished_flows.push_back(finished);
-      auto& rem = (*snap_.remaining)[static_cast<std::size_t>(finished.id)];
-      view.attained_bits += rem;
-      rem = 0.0;
-      for (Scheduler* s : schedulers()) {
-        if (s->wants_events()) s->on_flow_finish(finished);
-      }
-      if (view.flows.empty()) {
-        const CoflowId id = view.id;
-        parked_.push_back(id);
-        snap_.input.coflows[k] = std::move(snap_.input.coflows.back());
-        snap_.input.coflows.pop_back();
-        for (Scheduler* s : schedulers()) {
-          if (s->wants_events()) s->on_coflow_departure(id);
-        }
-      }
-    }
-    if (!parked_.empty() && rng_.bernoulli(0.5)) {
-      const CoflowId id = parked_.back();
-      parked_.pop_back();
-      ActiveCoflow revived = pristine_[static_cast<std::size_t>(id)];
-      for (const ActiveFlow& f : revived.flows) {
-        (*snap_.remaining)[static_cast<std::size_t>(f.id)] =
-            pristine_sizes_[static_cast<std::size_t>(f.id)];
-      }
-      revived.attained_bits = rng_.uniform(0.0, 5e8);
-      snap_.input.coflows.push_back(std::move(revived));
-      for (Scheduler* s : schedulers()) {
-        if (s->wants_events()) {
-          s->on_coflow_arrival(snap_.input.coflows.back());
-        }
-      }
-    }
-  }
-
-  bool empty() const { return snap_.input.coflows.empty(); }
-
- private:
-  std::vector<Scheduler*> schedulers() {
-    return {serial_.get(), sharded_.get()};
-  }
-
-  Rng rng_;
-  Snapshot snap_;
-  std::unique_ptr<Scheduler> serial_;
-  std::unique_ptr<Scheduler> sharded_;
-  std::vector<ActiveCoflow> pristine_;   // indexed by CoflowId
-  std::vector<double> pristine_sizes_;   // indexed by FlowId
-  std::vector<CoflowId> parked_;         // departed, eligible to revive
-};
-
-TEST(ShardedPriorityState, LocalTraceChurnStaysBitwiseIdentical) {
-  // Shard-local trace: the sharded priority fill must track the serial
-  // one bit for bit at every churn step, for every policy whose sharded
-  // path is exact.
-  const Fabric fabric(32, gbps(1.0));
-  for (const char* policy : {"fifo", "aalo", "varys"}) {
-    const Trace trace = grouped_trace(fabric, 4, 19, 30, 6,
-                                      /*locality=*/1.0);
-    ChurnPair pair(policy, fabric, trace, /*seed=*/77);
-    for (int step = 0; step < 30 && !pair.empty(); ++step) {
-      const Allocation serial = pair.allocate_serial();
-      const Allocation sharded = pair.allocate_sharded();
-      for (const ActiveCoflow& c : pair.input().coflows) {
-        for (const ActiveFlow& f : c.flows) {
-          ASSERT_EQ(serial.rate(f.id), sharded.rate(f.id))
-              << policy << " step " << step << " flow " << f.id;
-        }
-      }
-      pair.step();
-    }
-  }
-}
-
-TEST(ShardedPriorityState, CrossShardChurnKeepsTotalRateAndFeasibility) {
-  // Cross-shard traffic: rates may diverge through the reconcile rounds,
-  // but the churned sharded path must stay feasible and keep >= 95% of
-  // the serial total rate at every step.
-  const Fabric fabric(32, gbps(1.0));
-  for (const char* policy : {"fifo", "aalo", "baraat"}) {
-    const Trace trace = grouped_trace(fabric, 4, 23, 30, 6,
-                                      /*locality=*/0.6);
-    ChurnPair pair(policy, fabric, trace, /*seed=*/131);
-    for (int step = 0; step < 30 && !pair.empty(); ++step) {
-      const Allocation serial = pair.allocate_serial();
-      const Allocation sharded = pair.allocate_sharded();
-      EXPECT_NO_THROW(check_capacity(pair.input(), sharded, 1e-6))
-          << policy << " step " << step;
-      const double base = total_rate(pair.input(), serial);
-      const double got = total_rate(pair.input(), sharded);
-      EXPECT_GE(got, 0.95 * base) << policy << " step " << step;
-      pair.step();
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Cross-shard traces: feasibility, bounded divergence, determinism
 
@@ -448,7 +273,7 @@ TEST_P(ShardCrossTraffic, FeasibleAndNearWorkConserving) {
       fabric, 4, static_cast<std::uint64_t>(seed) * 977 + 5, 30, 8,
       /*locality=*/0.7);
   const Snapshot snap = snapshot_all_active(fabric, trace, true);
-  for (const char* policy : {"tcp", "fifo", "varys", "aalo"}) {
+  for (const char* policy : {"tcp", "drf"}) {
     const Allocation serial = run_alloc(policy, 1, snap);
     const Allocation sharded = run_alloc(policy, 4, snap);
     // Never infeasible, never negative.
@@ -458,8 +283,8 @@ TEST_P(ShardCrossTraffic, FeasibleAndNearWorkConserving) {
         EXPECT_GE(sharded.rate(f.id), 0.0) << policy << " flow " << f.id;
       }
     }
-    // Bounded divergence: the default two-round reconcile keeps at least
-    // 95% of the serial allocator's total rate.
+    // Bounded divergence: tcp's two-round reconcile keeps at least 95% of
+    // the serial allocator's total rate.
     const double base = total_rate(snap.input, serial);
     const double got = total_rate(snap.input, sharded);
     EXPECT_GE(got, 0.95 * base) << policy << " seed " << seed;
@@ -493,7 +318,7 @@ TEST(ShardDeterminism, RepeatedShardedAllocationsAreBitwiseStable) {
   const Fabric fabric(40, gbps(1.0));
   const Trace trace = grouped_trace(fabric, 4, 23, 30, 8, 0.6);
   const Snapshot snap = snapshot_all_active(fabric, trace, true);
-  for (const char* policy : {"tcp", "fifo", "drf", "varys"}) {
+  for (const char* policy : {"tcp", "drf"}) {
     const Allocation first = run_alloc(policy, 4, snap);
     for (int repeat = 0; repeat < 3; ++repeat) {
       const Allocation again = run_alloc(policy, 4, snap);
@@ -608,15 +433,36 @@ TEST(ShardRegistry, AtSuffixBuildsShardedScheduler) {
 TEST(ShardRegistry, RejectsMalformedOrUnsupportedSuffixes) {
   EXPECT_THROW(make_scheduler("drf@"), CheckError);
   EXPECT_THROW(make_scheduler("drf@x4"), CheckError);
+  EXPECT_THROW(make_scheduler("drf@4x"), CheckError);
   EXPECT_THROW(make_scheduler("drf@0"), CheckError);
+  EXPECT_THROW(make_scheduler("drf@-2"), CheckError);
   EXPECT_THROW(make_scheduler("@4"), CheckError);
-  // NC-DRF has no sharded path.
-  EXPECT_THROW(make_scheduler("ncdrf@4"), CheckError);
-  EXPECT_THROW(make_scheduler("ncdrf-live@2"), CheckError);
+  // Only drf and tcp have a sharded path.
   SchedulerOptions two;
   two.shards = 2;
-  EXPECT_THROW(make_scheduler("ncdrf", two), CheckError);
-  EXPECT_NE(make_scheduler("drf@2"), nullptr);
+  for (const std::string& name : scheduler_names()) {
+    if (name == "drf" || name == "tcp") {
+      EXPECT_NE(make_scheduler(name + "@2"), nullptr) << name;
+      EXPECT_NE(make_scheduler(name, two), nullptr) << name;
+    } else {
+      EXPECT_THROW(make_scheduler(name + "@2"), CheckError) << name;
+      EXPECT_THROW(make_scheduler(name, two), CheckError) << name;
+      EXPECT_NE(make_scheduler(name + "@1"), nullptr) << name;
+    }
+  }
+}
+
+TEST(ShardRegistry, RejectsHostileShardCounts) {
+  // Each shard is a pool thread started at construction, so the count is
+  // bounded before any fabric is known; a suffix too long for an int is
+  // malformed, not an escaping std::out_of_range.
+  EXPECT_THROW(make_scheduler("drf@65"), CheckError);
+  EXPECT_THROW(make_scheduler("tcp@" + std::string(20, '9')), CheckError);
+  SchedulerOptions too_many;
+  too_many.shards = ShardRuntime::kMaxShards + 1;
+  EXPECT_THROW(make_scheduler("drf", too_many), CheckError);
+  EXPECT_THROW(make_scheduler("tcp", too_many), CheckError);
+  EXPECT_THROW(ShardRuntime::create(too_many), CheckError);
 }
 
 TEST(ShardPerf, CountersAccumulateOnlyOnShardedPath) {
@@ -624,7 +470,7 @@ TEST(ShardPerf, CountersAccumulateOnlyOnShardedPath) {
   const Trace trace = grouped_trace(fabric, 4, 31, 10, 4, 0.8);
   const Snapshot snap = snapshot_all_active(fabric, trace, true);
 
-  const auto serial = make_scheduler("fifo", SchedulerOptions{});
+  const auto serial = make_scheduler("tcp", SchedulerOptions{});
   serial->allocate(snap.input);
   ASSERT_NE(serial->perf_counters(), nullptr);
   EXPECT_EQ(serial->perf_counters()->shard_regions, 0);
@@ -632,7 +478,7 @@ TEST(ShardPerf, CountersAccumulateOnlyOnShardedPath) {
 
   SchedulerOptions four;
   four.shards = 4;
-  const auto sharded = make_scheduler("fifo", four);
+  const auto sharded = make_scheduler("tcp", four);
   sharded->allocate(snap.input);
   const SchedPerf* perf = sharded->perf_counters();
   ASSERT_NE(perf, nullptr);
@@ -643,19 +489,18 @@ TEST(ShardPerf, CountersAccumulateOnlyOnShardedPath) {
   EXPECT_GE(perf->shard_critical_seconds, 0.0);
 }
 
-TEST(ShardSim, ShardedFifoSimulatesLocalTraceLikeSerial) {
+TEST(ShardSim, ShardedTcpSimulatesLocalTraceLikeSerial) {
   // End-to-end through the simulator: on a fully shard-local trace the
   // sharded path allocates identically, so every completion time matches.
   const Fabric fabric(16, gbps(1.0));
   const Trace trace = grouped_trace(fabric, 4, 37, 12, 4, 1.0);
 
-  const auto serial = make_scheduler("fifo");
+  const auto serial = make_scheduler("tcp");
   SimOptions options;
   options.record_intervals = false;
   const RunResult base = simulate(fabric, trace, *serial, options);
 
-  const auto sharded = make_scheduler("fifo@4");
-  options.reconcile.max_iterations = 4;  // forwarded via ScheduleInput
+  const auto sharded = make_scheduler("tcp@4");
   options.validate_allocations = true;
   const RunResult run = simulate(fabric, trace, *sharded, options);
 
@@ -672,7 +517,7 @@ TEST(ShardSim, ShardedFifoSimulatesLocalTraceLikeSerial) {
 TEST(ShardSim, CrossShardTraceCompletesUnderValidation) {
   const Fabric fabric(16, gbps(1.0));
   const Trace trace = grouped_trace(fabric, 4, 41, 12, 4, 0.5);
-  const auto sched = make_scheduler("varys@4");
+  const auto sched = make_scheduler("tcp@4");
   SimOptions options;
   options.record_intervals = false;
   options.validate_allocations = true;  // throws on oversubscription
@@ -683,9 +528,9 @@ TEST(ShardSim, CrossShardTraceCompletesUnderValidation) {
   }
 }
 
-TEST(ShardSim, VarysOnOneMachineFabricMatchesSerial) {
-  // One machine clamps varys@4's plan to a single shard after its first
-  // allocate; the Γ scan must still order every coflow, as serial does.
+TEST(ShardSim, DrfOnOneMachineFabricMatchesSerial) {
+  // Four demand blocks over nine coflows on a one-machine fabric: every
+  // coflow must still be refreshed and counted into P*, as serial does.
   const Fabric fabric(1, gbps(1.0));
   TraceBuilder builder(1);
   for (int c = 0; c < 9; ++c) {
@@ -695,9 +540,9 @@ TEST(ShardSim, VarysOnOneMachineFabricMatchesSerial) {
   const Trace trace = builder.build();
   SimOptions options;
   options.record_intervals = false;
-  const auto serial = make_scheduler("varys");
+  const auto serial = make_scheduler("drf");
   const RunResult base = simulate(fabric, trace, *serial, options);
-  const auto sharded = make_scheduler("varys@4");
+  const auto sharded = make_scheduler("drf@4");
   const RunResult run = simulate(fabric, trace, *sharded, options);
   ASSERT_EQ(run.coflows.size(), base.coflows.size());
   for (std::size_t k = 0; k < base.coflows.size(); ++k) {

@@ -25,9 +25,9 @@ MIN_SPEEDUP = 1.8
 MIN_SERIAL_EVENTS_PER_S = 2.0
 GUARD_COFLOWS = 10000
 GUARD_SHARDS = 4
-# drf exercises the parallel demand-refresh/progress path; varys is the
-# fill-based representative (sorted fill + sharded waterfill backfill).
-GUARDED_POLICIES = ("drf", "varys")
+# drf exercises the parallel demand-refresh/progress path. tcp@N, the only
+# other sharded policy, runs in the unguarded smoke sweep.
+GUARDED_POLICIES = ("drf",)
 
 REQUIRED_FIELDS = (
     "policy",
@@ -90,7 +90,7 @@ def main(argv):
                 row["events"] / modeled if modeled > 0 else 0.0
             ),
         }
-        for extra in ("locality", "fp_iters", "fp_tol", "racks"):
+        for extra in ("locality", "racks"):
             if extra in row:
                 cell[extra] = row[extra]
         matrix.setdefault(row["policy"], {}).setdefault(
