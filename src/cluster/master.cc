@@ -1,17 +1,33 @@
 #include "cluster/master.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/check.h"
 
 namespace ncdrf {
+namespace {
+
+constexpr double kNeverHeard = -std::numeric_limits<double>::infinity();
+
+}  // namespace
 
 Master::Master(const Fabric& fabric, Scheduler& scheduler,
                MasterOptions options, double start_time)
     : fabric_(fabric),
       scheduler_(scheduler),
       options_(options),
-      start_time_(start_time) {}
+      deliver_events_(scheduler.wants_events()),
+      clairvoyant_(scheduler.clairvoyant()),
+      start_time_(start_time) {
+  const auto machines = static_cast<std::size_t>(fabric.num_machines());
+  unfinished_at_.assign(machines, 0);
+  last_alive_.assign(machines, kNeverHeard);
+  dead_.assign(machines, 0);
+  slot_of_.assign(machines, -1);
+  view_.fabric = &fabric_;
+  if (clairvoyant_) view_.clairvoyant = &clairvoyant_info_;
+}
 
 void Master::on_register(const RegisterCoflowMsg& msg) {
   NCDRF_CHECK(msg.coflow >= 0, "registration with invalid coflow id");
@@ -23,37 +39,60 @@ void Master::on_register(const RegisterCoflowMsg& msg) {
   // retired, which only its flow states remember.
   const FlowId probe =
       msg.flows.empty() ? msg.finished_flows.front().id : msg.flows.front().id;
-  const bool known =
-      flow_states_.contains(probe) || unfinished_.contains(msg.coflow);
-  if (known) {
+  if (flow_states_.contains(probe) || active_.contains(msg.coflow)) {
     ++registrations_ignored_;
     return;
+  }
+  for (const Flow& f : msg.flows) {
+    NCDRF_CHECK(f.src >= 0 && f.src < fabric_.num_machines(),
+                "registered flow leaves a machine outside the fabric");
+    NCDRF_CHECK(!clairvoyant_ || f.size_bits > 0.0,
+                "clairvoyant scheduler needs registered flow sizes");
   }
   CoflowState state;
   state.id = msg.coflow;
   state.arrival_time = msg.arrival_time;
   state.weight = msg.weight;
   state.tenant = msg.tenant;
-  state.sizes_known = msg.sizes_known;
+  state.trace_id = msg.trace_id;
+  state.flows.reserve(msg.flows.size() + msg.finished_flows.size());
   for (const Flow& f : msg.flows) {
-    NCDRF_CHECK(!flow_states_.contains(f.id), "duplicate flow registration");
-    flow_states_[f.id] = FlowState{f, false, 0.0};
+    const bool fresh =
+        flow_states_.try_emplace(f.id, FlowState{f, false, 0.0}).second;
+    NCDRF_CHECK(fresh, "duplicate flow registration");
     state.flows.push_back(f.id);
   }
   for (const Flow& f : msg.finished_flows) {
-    NCDRF_CHECK(!flow_states_.contains(f.id), "duplicate flow registration");
     // Already delivered in full: attained equals the (observable) size.
-    flow_states_[f.id] = FlowState{f, true, f.size_bits};
+    const bool fresh =
+        flow_states_.try_emplace(f.id, FlowState{f, true, f.size_bits}).second;
+    NCDRF_CHECK(fresh, "duplicate flow registration");
     state.flows.push_back(f.id);
   }
-  unfinished_[msg.coflow] = static_cast<int>(msg.flows.size());
-  if (msg.flows.empty()) ++retirable_;  // everything already delivered
-  if (msg.trace_id != 0) {
-    trace_ids_[msg.coflow] = msg.trace_id;
-    any_traced_ = true;
+  for (const Flow& f : msg.flows) {
+    ++unfinished_at_[static_cast<std::size_t>(f.src)];
   }
-  coflows_.push_back(std::move(state));
+  state.unfinished = static_cast<int>(msg.flows.size());
+  if (msg.flows.empty()) ++retirable_;  // everything already delivered
+  if (msg.trace_id != 0) any_traced_ = true;
+  CoflowState& coflow =
+      active_.emplace(msg.coflow, std::move(state)).first->second;
+  order_.push_back(&coflow);
   dirty_ = true;
+  // With no slave dead every live flow is visible, so the coflow joins
+  // the view exactly when it has one.
+  if (!incremental_ || msg.flows.empty()) return;
+  coflow.in_view = true;
+  fill_entry(coflow, view_.coflows.emplace_back());
+  if (deliver_events_) {
+    // A hook that throws (an invalid weight, say) leaves the policy's
+    // tracked set unknown: the next allocation resets and resyncs it.
+    incremental_ = false;
+    synced_ = false;
+    scheduler_.on_coflow_arrival(view_.coflows.back());
+    synced_ = true;
+    incremental_ = true;
+  }
 }
 
 bool Master::mark_finished(FlowId flow) {
@@ -62,26 +101,55 @@ bool Master::mark_finished(FlowId flow) {
   // before the coflow's re-registration does. It is repaired by the
   // finished_flows list of that re-registration.
   if (it == flow_states_.end() || it->second.finished) return false;
-  it->second.finished = true;
-  // An unfinished flow state implies its coflow is still active, so the
-  // counter entry exists.
-  if (--unfinished_.at(it->second.flow.coflow) == 0) ++retirable_;
+  FlowState& fs = it->second;
+  fs.finished = true;
+  --unfinished_at_[static_cast<std::size_t>(fs.flow.src)];
+  // An unfinished flow state implies its coflow is still active.
+  CoflowState& coflow = active_.at(fs.flow.coflow);
+  if (--coflow.unfinished == 0) ++retirable_;
   dirty_ = true;
+  if (incremental_) {
+    // The flow was live and visible, so its coflow is in the view.
+    coflow.refill = true;
+    if (deliver_events_) {
+      scheduler_.on_flow_finish(
+          ActiveFlow{fs.flow.id, fs.flow.coflow, fs.flow.src, fs.flow.dst});
+    }
+  }
   return true;
 }
 
 void Master::retire_done_coflows() {
   if (retirable_ == 0) return;
-  std::erase_if(coflows_, [&](const CoflowState& c) {
-    const auto it = unfinished_.find(c.id);
-    if (it == unfinished_.end() || it->second != 0) return false;
-    unfinished_.erase(it);
-    trace_ids_.erase(c.id);
-    if (options_.forget_retired) {
-      for (const FlowId f : c.flows) flow_states_.erase(f);
+  // One pass over the registration order compacts the view alongside it:
+  // view_.coflows[v] belongs to the v-th coflow that is in_view.
+  std::size_t kept = 0;
+  std::size_t v = 0;
+  std::size_t kept_view = 0;
+  for (CoflowState* c : order_) {
+    const bool view_entry = incremental_ && c->in_view;
+    if (c->unfinished > 0) {
+      order_[kept++] = c;
+      if (view_entry) {
+        if (kept_view != v) {
+          view_.coflows[kept_view] = std::move(view_.coflows[v]);
+        }
+        ++kept_view;
+        ++v;
+      }
+      continue;
     }
-    return true;
-  });
+    if (view_entry) {
+      ++v;
+      if (deliver_events_) scheduler_.on_coflow_departure(c->id);
+    }
+    if (options_.forget_retired) {
+      for (const FlowId f : c->flows) flow_states_.erase(f);
+    }
+    active_.erase(c->id);
+  }
+  order_.resize(kept);
+  if (incremental_) view_.coflows.resize(kept_view);
   retirable_ = 0;
 }
 
@@ -108,12 +176,19 @@ void Master::on_flows_finished(const std::vector<FlowFinishedMsg>& msgs) {
 
 void Master::on_heartbeat(const HeartbeatMsg& msg, double now) {
   note_alive(msg.machine, now);
-  // Heartbeats refine the clairvoyant remaining-size estimates; they do
-  // not by themselves force a reallocation.
+  // Heartbeats refine attained service (and the clairvoyant remaining-size
+  // estimates); they do not by themselves force a reallocation.
   for (const auto& [flow, attained] : msg.attained_bits) {
     const auto it = flow_states_.find(flow);
-    if (it != flow_states_.end()) {
-      it->second.attained_bits = std::max(it->second.attained_bits, attained);
+    if (it == flow_states_.end() || !(attained > it->second.attained_bits)) {
+      continue;
+    }
+    it->second.attained_bits = attained;
+    if (incremental_) {
+      // Retired coflows keep their flow states unless forgotten; only an
+      // active coflow has a view entry to refill.
+      const auto c = active_.find(it->second.flow.coflow);
+      if (c != active_.end()) c->second.refill = true;
     }
   }
   // Repair channel for lost FlowFinished reports.
@@ -125,137 +200,183 @@ void Master::on_heartbeat(const HeartbeatMsg& msg, double now) {
 }
 
 void Master::note_alive(MachineId machine, double now) {
-  if (machine < 0) return;
-  auto [it, inserted] = last_alive_.try_emplace(machine, now);
-  if (!inserted) it->second = std::max(it->second, now);
-  if (dead_slaves_.erase(machine) > 0) {
+  if (machine < 0 || machine >= fabric_.num_machines()) return;
+  const auto m = static_cast<std::size_t>(machine);
+  last_alive_[m] = std::max(last_alive_[m], now);
+  if (dead_[m] != 0) {
+    dead_[m] = 0;
+    --num_dead_;
     ++slaves_revived_;
     // The revived slave's flows rejoin the view; recompute their shares.
     dirty_ = true;
+    incremental_ = false;
   }
 }
 
 void Master::check_liveness(double now) {
   if (options_.heartbeat_timeout_s <= 0.0) return;
   // Only machines expected to heartbeat — those originating at least one
-  // unfinished flow in the view — can be declared dead. Idle machines
-  // legitimately stay silent.
-  std::unordered_map<MachineId, long long> unfinished_per_machine;
-  for (const auto& [id, fs] : flow_states_) {
-    if (!fs.finished) ++unfinished_per_machine[fs.flow.src];
-  }
-  for (const auto& [machine, unfinished] : unfinished_per_machine) {
-    if (dead_slaves_.contains(machine)) continue;
-    const auto it = last_alive_.find(machine);
-    const double last = it != last_alive_.end() ? it->second : start_time_;
+  // unfinished flow — can be declared dead. Idle machines legitimately
+  // stay silent.
+  for (std::size_t m = 0; m < unfinished_at_.size(); ++m) {
+    const int unfinished = unfinished_at_[m];
+    if (unfinished == 0 || dead_[m] != 0) continue;
+    const double last =
+        last_alive_[m] == kNeverHeard ? start_time_ : last_alive_[m];
     if (now - last > options_.heartbeat_timeout_s) {
-      dead_slaves_.insert(machine);
+      dead_[m] = 1;
+      ++num_dead_;
       ++slaves_declared_dead_;
       flows_quarantined_ += unfinished;
       dirty_ = true;
+      incremental_ = false;
     }
   }
 }
 
-int Master::active_coflows() const {
-  return static_cast<int>(coflows_.size());
-}
-
-ScheduleInput Master::build_view(double now) const {
-  ScheduleInput input;
-  input.fabric = &fabric_;
-  input.now = now;
-  int live_flows = 0;
-  for (const CoflowState& coflow : coflows_) {
-    ActiveCoflow view;
-    view.id = coflow.id;
-    view.arrival_time = coflow.arrival_time;
-    view.tenant = coflow.tenant;
-    view.weight = coflow.weight;
-    double attained = 0.0;
-    for (const FlowId f : coflow.flows) {
-      const FlowState& fs = flow_states_.at(f);
-      attained += fs.attained_bits;
-      // Quarantine: flows originating at a dead slave are left out of the
-      // view entirely, releasing their port shares to the survivors. Their
-      // attained service still counts toward the coflow's progress.
-      const bool quarantined =
-          !fs.finished && dead_slaves_.contains(fs.flow.src);
-      if (quarantined) continue;
-      auto& bucket = fs.finished ? view.finished_flows : view.flows;
-      bucket.push_back(
+void Master::fill_entry(const CoflowState& coflow, ActiveCoflow& entry) {
+  entry.id = coflow.id;
+  entry.arrival_time = coflow.arrival_time;
+  entry.tenant = coflow.tenant;
+  entry.weight = coflow.weight;
+  entry.flows.clear();
+  entry.finished_flows.clear();
+  double attained = 0.0;
+  for (const FlowId f : coflow.flows) {
+    const FlowState& fs = flow_states_.at(f);
+    attained += fs.attained_bits;
+    if (fs.finished) {
+      entry.finished_flows.push_back(
           ActiveFlow{fs.flow.id, fs.flow.coflow, fs.flow.src, fs.flow.dst});
+      continue;
     }
-    view.attained_bits = attained;
-    if (!view.flows.empty()) {
-      live_flows += static_cast<int>(view.flows.size());
-      input.coflows.push_back(std::move(view));
+    // Quarantine: flows originating at a dead slave are left out of the
+    // view entirely, releasing their port shares to the survivors. Their
+    // attained service still counts toward the coflow's progress.
+    if (num_dead_ > 0 && slave_dead(fs.flow.src)) continue;
+    entry.flows.push_back(
+        ActiveFlow{fs.flow.id, fs.flow.coflow, fs.flow.src, fs.flow.dst});
+    if (clairvoyant_) {
+      // Remaining = registered size − attained (heartbeat view). Flow ids
+      // are dense and grow with history, so the table only grows
+      // (geometrically) and keeps what was written at retired ids:
+      // zeroing it would make epoch cost grow with history, not load.
+      const auto id = static_cast<std::size_t>(f);
+      if (id >= remaining_estimate_.size()) {
+        remaining_estimate_.resize(
+            std::max(id + 1, 2 * remaining_estimate_.size()));
+      }
+      remaining_estimate_[id] =
+          std::max(fs.flow.size_bits - fs.attained_bits, 0.0);
     }
   }
-  input.total_live_flows = live_flows;
-  return input;
+  entry.attained_bits = attained;
+}
+
+void Master::resync() {
+  if (deliver_events_) {
+    // The policy tracks exactly the entries of view_ once synced: messages
+    // stop touching view_ when incremental upkeep stops. Replaying them
+    // as departures keeps state the policy holds beyond the snapshot
+    // (karma's credit banks) across a slave fault; a master that never
+    // synced, or lost track, resets the policy instead.
+    if (synced_) {
+      for (const ActiveCoflow& entry : view_.coflows) {
+        scheduler_.on_coflow_departure(entry.id);
+      }
+    } else {
+      scheduler_.on_reset(fabric_);
+    }
+    synced_ = false;
+  }
+  std::size_t v = 0;
+  for (CoflowState* c : order_) {
+    if (v == view_.coflows.size()) view_.coflows.emplace_back();
+    fill_entry(*c, view_.coflows[v]);
+    c->in_view = !view_.coflows[v].flows.empty();
+    c->refill = false;
+    if (c->in_view) ++v;
+  }
+  view_.coflows.resize(v);
+  if (deliver_events_) {
+    for (const ActiveCoflow& entry : view_.coflows) {
+      scheduler_.on_coflow_arrival(entry);
+    }
+    synced_ = true;
+  }
+  // Quarantine is applied above; while a slave stays dead its flows'
+  // visibility is not tracked message by message, so every allocation
+  // comes back here.
+  incremental_ = num_dead_ == 0;
 }
 
 const ScheduleInput& Master::compute_allocation(
     double now, Allocation& alloc, std::vector<SlaveRates>& per_slave) {
-  view_ = build_view(now);
-  dirty_ = false;
-  alloc = Allocation();
-  per_slave.clear();
-  if (view_.coflows.empty()) return view_;
-
-  if (scheduler_.clairvoyant()) {
-    // Remaining = registered size − attained (heartbeat view). Registered
-    // sizes are required for clairvoyant policies. Written for the
-    // *active* flows only — they are the only ids the scheduler may query.
-    // Flow ids are dense and grow with history, so the table only grows
-    // (geometrically) and keeps what earlier epochs wrote at retired ids:
-    // zeroing it up to the largest active id every epoch would make epoch
-    // cost grow with history instead of load.
-    for (const ActiveCoflow& coflow : view_.coflows) {
-      for (const ActiveFlow& f : coflow.flows) {
-        const FlowState& fs = flow_states_.at(f.id);
-        NCDRF_CHECK(fs.flow.size_bits > 0.0,
-                    "clairvoyant scheduler needs registered flow sizes");
-        const auto id = static_cast<std::size_t>(f.id);
-        if (id >= remaining_estimate_.size()) {
-          remaining_estimate_.resize(
-              std::max(id + 1, 2 * remaining_estimate_.size()));
-        }
-        remaining_estimate_[id] =
-            std::max(fs.flow.size_bits - fs.attained_bits, 0.0);
+  if (!incremental_) {
+    resync();
+  } else {
+    auto entry = view_.coflows.begin();
+    for (CoflowState* c : order_) {
+      if (!c->in_view) continue;
+      if (c->refill) {
+        fill_entry(*c, *entry);
+        c->refill = false;
       }
+      ++entry;
     }
-    clairvoyant_info_ = std::make_unique<ClairvoyantInfo>(&remaining_estimate_);
-    view_.clairvoyant = clairvoyant_info_.get();
   }
+  dirty_ = false;
+
+  // One rate vector per originating machine (rates are enforced at the
+  // sender, like tc/htb egress shaping), in machine-id order so callers
+  // iterate slaves deterministically. A machine's view flows are its
+  // unfinished flows, unless it is dead (quarantined: none).
+  std::size_t slots = 0;
+  int live_flows = 0;
+  for (std::size_t m = 0; m < slot_of_.size(); ++m) {
+    const int live = dead_[m] != 0 ? 0 : unfinished_at_[m];
+    if (live == 0) {
+      slot_of_[m] = -1;
+      continue;
+    }
+    live_flows += live;
+    slot_of_[m] = static_cast<int>(slots);
+    if (slots == per_slave.size()) per_slave.emplace_back();
+    SlaveRates& sr = per_slave[slots++];
+    sr.machine = static_cast<MachineId>(m);
+    sr.msg.rates_bps.clear();
+    sr.msg.trace_ids.clear();
+    sr.msg.rates_bps.reserve(static_cast<std::size_t>(live));
+    if (any_traced_) sr.msg.trace_ids.reserve(static_cast<std::size_t>(live));
+  }
+  per_slave.resize(slots);
+  view_.now = now;
+  view_.total_live_flows = live_flows;
+  alloc = Allocation();
+  if (view_.coflows.empty()) return view_;
 
   alloc = scheduler_.allocate(view_);
   clamp_to_capacity(view_, alloc, clamp_scratch_);
-
-  // One rate vector per originating machine (rates are enforced at the
-  // sender, like tc/htb egress shaping), sorted by machine id so callers
-  // iterate slaves in a deterministic order.
-  std::vector<int> slot_of(static_cast<std::size_t>(fabric_.num_machines()),
-                           -1);
-  for (const ActiveCoflow& coflow : view_.coflows) {
-    for (const ActiveFlow& flow : coflow.flows) {
-      int& slot = slot_of[static_cast<std::size_t>(flow.src)];
-      if (slot < 0) {
-        slot = static_cast<int>(per_slave.size());
-        per_slave.push_back(SlaveRates{flow.src, {}});
-      }
-      RateUpdateMsg& msg = per_slave[static_cast<std::size_t>(slot)].msg;
+  auto coflow = order_.begin();
+  for (const ActiveCoflow& entry : view_.coflows) {
+    while (!(*coflow)->in_view) ++coflow;
+    const std::uint64_t trace = (*coflow++)->trace_id;
+    for (const ActiveFlow& flow : entry.flows) {
+      RateUpdateMsg& msg =
+          per_slave[static_cast<std::size_t>(
+                        slot_of_[static_cast<std::size_t>(flow.src)])]
+              .msg;
       msg.rates_bps.emplace_back(flow.id, alloc.rate(flow.id));
       // Causal tagging rides along only when someone registered with a
       // trace id — untraced deployments keep the vectors empty.
-      if (any_traced_) msg.trace_ids.push_back(trace_id(flow.coflow));
+      if (any_traced_) msg.trace_ids.push_back(trace);
     }
   }
-  std::sort(per_slave.begin(), per_slave.end(),
-            [](const SlaveRates& a, const SlaveRates& b) {
-              return a.machine < b.machine;
-            });
+  for (const SlaveRates& sr : per_slave) {
+    NCDRF_CHECK(static_cast<int>(sr.msg.rates_bps.size()) ==
+                    unfinished_at_[static_cast<std::size_t>(sr.machine)],
+                "view and per-machine live-flow counts disagree");
+  }
   return view_;
 }
 

@@ -7,6 +7,22 @@
 // only ever acts on its *view* — which lags reality by the bus latency —
 // so the deployment exercises the control-staleness the real system has.
 //
+// The view is kept across allocations and changed only where a message
+// changed it, as the prototype reruns Algorithm 1 when a coflow registers
+// or a flow finishes: a registration appends the coflow's entry, a finish
+// or heartbeat marks the entry for refill, a retirement removes it. A
+// scheduler that wants_events() is driven through the same deltas
+// (on_coflow_arrival / on_flow_finish / on_coflow_departure, in message
+// order), so its own per-coflow state follows the view instead of being
+// rebuilt from every snapshot. A resync rebuilds the view from the flow
+// states and replays it to the scheduler — at the first allocation,
+// whenever a slave is declared dead or revived, and at every allocation
+// while any slave stays dead. The first resync of a master resets the
+// policy (on_reset) before one arrival per view coflow, as a freshly
+// started master would; later ones hand back the previous view as
+// departures instead, so history the policy keeps beyond the snapshot
+// (karma's credits) survives a slave fault.
+//
 // Fault tolerance: with a heartbeat timeout configured, a slave that stays
 // silent past the timeout is declared dead; its flows are quarantined
 // (excluded from the scheduling view, so their port shares flow back to
@@ -16,9 +32,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cluster/bus.h"
@@ -50,8 +64,16 @@ struct SlaveRates {
 
 class Master {
  public:
+  // The master drives `scheduler`'s event hooks (when it wants them) from
+  // its first allocation on; one master at a time per scheduler. A master
+  // started on a scheduler another master drove (a restart) resets it at
+  // that first allocation.
   Master(const Fabric& fabric, Scheduler& scheduler,
          MasterOptions options = {}, double start_time = 0.0);
+
+  // The view and the registration order point into the master itself.
+  Master(const Master&) = delete;
+  Master& operator=(const Master&) = delete;
 
   // Message intake. Each may mark the view dirty. Any message from a
   // machine counts as a sign of life and revives it if declared dead.
@@ -68,7 +90,7 @@ class Master {
   // Declares dead every slave with unfinished flows that has been silent
   // past the heartbeat timeout. Quarantined flows leave the scheduling
   // view, so the next reallocate releases their port shares. No-op when
-  // liveness tracking is disabled.
+  // liveness tracking is disabled. O(machines).
   void check_liveness(double now);
 
   // Recomputes the allocation from the current view and enqueues one
@@ -77,27 +99,46 @@ class Master {
   int reallocate(double now, SimBus& bus);
 
   // The kernel half of reallocate, with the push policy left to the
-  // caller: rebuilds the view, runs one Scheduler::allocate over it,
-  // clamps to capacity, and fills `per_slave` with one rate vector per
-  // machine that originates live flows, sorted by machine id
-  // (deterministic order). Clears the dirty flag. The returned view stays
-  // valid until the next compute_allocation/reallocate call; `alloc` is
-  // overwritten. The serving front-end (src/serve/) calls this once per
-  // epoch and applies its own bounded-staleness push schedule.
+  // caller: brings the view up to date (refilling only the entries a
+  // message marked, or resyncing — see the class comment), runs one
+  // Scheduler::allocate over it, clamps to capacity, and fills
+  // `per_slave` with one rate vector per machine that originates live
+  // flows, in machine-id order. Entries of `per_slave` are reused in place
+  // (their vectors keep their capacity), so a caller that hands the same
+  // vector every epoch allocates nothing in steady state. Clears the dirty
+  // flag.
+  //
+  // The view holds every active coflow with a live, unquarantined flow, in
+  // registration order; each entry's flows and finished_flows are in
+  // registration order and its attained_bits is the sum over all its
+  // flows in that order. The returned reference is the master's own view:
+  // it stays valid for the master's lifetime, but the next message or
+  // compute_allocation call may change it. `alloc` is overwritten. The
+  // serving front-end (src/serve/) calls this once per epoch and applies
+  // its own bounded-staleness push schedule.
   const ScheduleInput& compute_allocation(double now, Allocation& alloc,
                                           std::vector<SlaveRates>& per_slave);
 
-  int active_coflows() const;
+  int active_coflows() const { return static_cast<int>(order_.size()); }
   bool slave_dead(MachineId machine) const {
-    return dead_slaves_.contains(machine);
+    return machine >= 0 && machine < static_cast<MachineId>(dead_.size()) &&
+           dead_[static_cast<std::size_t>(machine)] != 0;
   }
-  int dead_slaves() const { return static_cast<int>(dead_slaves_.size()); }
+  int dead_slaves() const { return num_dead_; }
 
   // Liveness-outcome counters (monotone over the master's lifetime).
   long long slaves_declared_dead() const { return slaves_declared_dead_; }
   long long slaves_revived() const { return slaves_revived_; }
   long long flows_quarantined() const { return flows_quarantined_; }
   long long registrations_ignored() const { return registrations_ignored_; }
+
+  // Causal trace id a coflow registered with (0 = untraced / unknown or
+  // retired). The serving front-end reads this back when pairing pushes
+  // with submissions; the RateUpdateMsg trace_ids are filled from it.
+  std::uint64_t trace_id(CoflowId coflow) const {
+    const auto it = active_.find(coflow);
+    return it == active_.end() ? 0 : it->second.trace_id;
+  }
 
  private:
   struct FlowState {
@@ -110,65 +151,71 @@ class Master {
     double arrival_time = 0.0;
     double weight = 1.0;
     int tenant = -1;
-    bool sizes_known = false;
+    std::uint64_t trace_id = 0;
     std::vector<FlowId> flows;
+    int unfinished = 0;    // flows not yet marked finished
+    bool in_view = false;  // has an entry in view_ (its arrival went out)
+    bool refill = false;   // that entry is stale; refill before allocating
   };
 
- public:
-  // Causal trace id a coflow registered with (0 = untraced / unknown or
-  // retired). The serving front-end reads this back when pairing pushes
-  // with submissions; the RateUpdateMsg trace_ids are filled from it.
-  std::uint64_t trace_id(CoflowId coflow) const {
-    const auto it = trace_ids_.find(coflow);
-    return it == trace_ids_.end() ? 0 : it->second;
-  }
-
- private:
-
-  ScheduleInput build_view(double now) const;
   // Marks `machine` alive as of `now`, reviving it if quarantined.
   void note_alive(MachineId machine, double now);
   // Marks one flow finished; returns true if it was a state change.
   bool mark_finished(FlowId flow);
-  // Drops coflows whose flows have all finished. O(1) when nothing became
-  // retirable since the last sweep — the per-coflow unfinished counters
-  // keep epoch cost proportional to load, not to finish-report volume.
+  // Drops coflows whose flows have all finished, with their view entries.
+  // O(1) when nothing became retirable since the last sweep — the
+  // per-coflow unfinished counters keep epoch cost proportional to load,
+  // not to finish-report volume.
   void retire_done_coflows();
+  // Fills one view entry from the coflow's flow states, leaving out flows
+  // quarantined at a dead slave, and writes the remaining-size estimates
+  // of its live flows for clairvoyant policies.
+  void fill_entry(const CoflowState& coflow, ActiveCoflow& entry);
+  // The from-scratch path: rebuilds the view from the flow states and
+  // replays it to an event-driven scheduler. Message-by-message upkeep
+  // resumes only when no slave is dead.
+  void resync();
 
   const Fabric& fabric_;
   Scheduler& scheduler_;
   MasterOptions options_;
-  std::vector<CoflowState> coflows_;
+  const bool deliver_events_;  // scheduler_.wants_events()
+  const bool clairvoyant_;     // scheduler_.clairvoyant()
+  // Active coflows by id (node-based, so the states never move) and in
+  // registration order; an entry leaves both when its coflow retires.
+  std::unordered_map<CoflowId, CoflowState> active_;
+  std::vector<CoflowState*> order_;
   std::unordered_map<FlowId, FlowState> flow_states_;
-  // Submission trace ids of *active* traced coflows (erased on
-  // retirement). any_traced_ keeps the RateUpdate fill a no-op for
-  // untraced deployments.
-  std::unordered_map<CoflowId, std::uint64_t> trace_ids_;
-  bool any_traced_ = false;
-  // Live (unfinished, per mark_finished) flow count per *active* coflow —
-  // one entry per element of coflows_, erased on retirement. Makes the
-  // duplicate-registration check and the all-flows-finished test O(1).
-  std::unordered_map<CoflowId, int> unfinished_;
+  bool any_traced_ = false;  // keeps the RateUpdate trace ids empty if not
   int retirable_ = 0;  // active coflows whose unfinished count hit zero
-  // Last sign of life per machine; machines never heard from default to
-  // the master's start time (a freshly registered flow is not instantly
-  // orphaned).
-  std::unordered_map<MachineId, double> last_alive_;
-  std::unordered_set<MachineId> dead_slaves_;
+  // Per machine: unfinished flows it originates (liveness and the
+  // per-slave split), last sign of life (-inf until a message arrives;
+  // check_liveness reads the master's start time instead, so a freshly
+  // registered flow is not instantly orphaned), and whether it is
+  // declared dead.
+  std::vector<int> unfinished_at_;
+  std::vector<double> last_alive_;
+  std::vector<char> dead_;
+  int num_dead_ = 0;
   double start_time_ = 0.0;
   long long slaves_declared_dead_ = 0;
   long long slaves_revived_ = 0;
   long long flows_quarantined_ = 0;
   long long registrations_ignored_ = 0;
-  // Remaining-size estimates (size − attained) for clairvoyant policies,
-  // indexed by FlowId; grown geometrically, current at active ids only.
-  mutable std::vector<double> remaining_estimate_;
-  // The view and clairvoyant wrapper of the last compute_allocation call;
-  // members so the returned ScheduleInput reference stays valid and the
-  // buffers are reused across epochs.
+  // view_ follows the messages (see the class comment) only while this
+  // holds; otherwise the next compute_allocation resyncs.
+  bool incremental_ = false;
+  // The event-driven policy tracks exactly the coflows of view_ (set by a
+  // completed resync; a throwing hook clears it).
+  bool synced_ = false;
   ScheduleInput view_;
-  std::unique_ptr<ClairvoyantInfo> clairvoyant_info_;
+  // Remaining-size estimates (size − attained) for clairvoyant policies,
+  // indexed by FlowId; grown geometrically, current at the view's live
+  // flows only.
+  std::vector<double> remaining_estimate_;
+  const ClairvoyantInfo clairvoyant_info_{&remaining_estimate_};
   std::vector<double> clamp_scratch_;
+  std::vector<int> slot_of_;  // machine -> its per_slave index, or -1
   bool dirty_ = false;
 };
 

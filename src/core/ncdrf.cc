@@ -1,7 +1,6 @@
 #include "core/ncdrf.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -275,16 +274,16 @@ Allocation NcDrfScheduler::allocate(const ScheduleInput& input) {
   const bool backfilling =
       options_.work_conserving && options_.backfill_rounds > 0;
   // The fused first round rides the base-rate pass below, so its flow loop
-  // is not separable; the timer covers the residual prep and the extra
-  // rounds, which is where the backfill-specific work lives.
-  std::chrono::steady_clock::time_point backfill_start;
+  // is not separable; backfill_seconds covers the residual prep and the
+  // extra rounds, which is where the backfill-specific work lives. The
+  // kBackfill span brackets the whole stage, fused pass included.
   if (backfilling) {
 #if NCDRF_TRACE_ENABLED
     if (tracer_ != nullptr) {
       tracer_->begin(obs::EventKind::kBackfill, input.now);
     }
 #endif
-    backfill_start = std::chrono::steady_clock::now();
+    const BackfillScope timer(perf_);
     residual_.resize(usage_.size());
     const std::vector<int>& counts = state_.live_link_counts();
     for (LinkId i = 0; i < fabric.num_links(); ++i) {
@@ -325,6 +324,7 @@ Allocation NcDrfScheduler::allocate(const ScheduleInput& input) {
   // even_backfill_cached's later rounds do (ablation configs only).
   int rounds_done = any_spare ? 1 : 0;
   if (any_spare && options_.backfill_rounds > 1) {
+    const BackfillScope timer(perf_);
     link_usage(input, alloc, residual_);
     for (LinkId i = 0; i < fabric.num_links(); ++i) {
       const auto idx = static_cast<std::size_t>(i);
@@ -336,10 +336,6 @@ Allocation NcDrfScheduler::allocate(const ScheduleInput& input) {
   }
   if (backfilling) {
     perf_.backfill_rounds += rounds_done;
-    perf_.backfill_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      backfill_start)
-            .count();
 #if NCDRF_TRACE_ENABLED
     if (tracer_ != nullptr) {
       tracer_->end(obs::EventKind::kBackfill, input.now, rounds_done);

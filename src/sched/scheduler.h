@@ -138,8 +138,9 @@ class Scheduler {
 
   // --- Optional event-driven (incremental) interface ---------------------
   //
-  // Drivers that track scheduling deltas (the DynamicSimulator) deliver
-  // them to schedulers returning true from wants_events(), in event order:
+  // The DynamicSimulator and the cluster Master (under the deployment and
+  // serve planes) track scheduling deltas and deliver them to schedulers
+  // returning true from wants_events(), in event order:
   // on_reset() once per run before anything else, then on_coflow_arrival /
   // on_flow_finish / on_coflow_departure as the active set evolves. When a
   // coflow's last flow finishes, on_flow_finish fires before the coflow's
@@ -148,10 +149,12 @@ class Scheduler {
   // per-coflow state in O(links touched) per event instead of rescanning
   // the snapshot.
   //
-  // Schedulers must stay correct when the hooks are never called — drivers
-  // that predate this interface (the cluster master, direct test harnesses)
-  // hand allocate() bare snapshots. One driver at a time per scheduler
-  // instance.
+  // Schedulers must stay correct when the hooks are never called — direct
+  // test harnesses (and HooklessScheduler-wrapped reference runs) hand
+  // allocate() bare snapshots. The Master may also start over: it calls
+  // on_reset() again when it resyncs without knowing what the scheduler
+  // tracks (a restarted master). One source of events at a time per
+  // scheduler instance.
   // --- Optional observability interface ----------------------------------
   //
   // Drivers with an attached obs layer offer it to the scheduler before a

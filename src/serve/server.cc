@@ -215,9 +215,10 @@ void ServeFront::shed_over_watermark(double now) {
 
 void ServeFront::reallocate(double now) {
   if (!master_.dirty()) return;
-  last_view_ = &master_.compute_allocation(now, alloc_, per_slave_);
+  const ScheduleInput& view =
+      master_.compute_allocation(now, alloc_, per_slave_);
   ++allocations_;
-  if (alloc_hook) alloc_hook(now, *last_view_, alloc_);
+  if (alloc_hook) alloc_hook(now, view, alloc_);
   if (alloc_latency_ != nullptr) {
     for (const Submission& s : batch_) {
       alloc_latency_->observe(elapsed(now, s.submit_time));

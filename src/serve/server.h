@@ -164,10 +164,9 @@ class ServeFront {
   // the observed staleness, which the bounded-staleness contract keeps
   // <= staleness_s + one epoch of quantization.
   double max_push_staleness() const { return max_push_staleness_; }
-  // Allocation and view of the last epoch that reallocated (valid until
-  // the next one; null view before the first).
+  // Allocation of the last epoch that reallocated (valid until the next
+  // one; empty before the first).
   const Allocation& last_allocation() const { return alloc_; }
-  const ScheduleInput* last_view() const { return last_view_; }
 
   // The serving configuration as a one-line JSON object — embedded in
   // flight-recorder bundles so a postmortem carries the knobs that shaped
@@ -240,7 +239,6 @@ class ServeFront {
 
   Allocation alloc_;
   std::vector<SlaveRates> per_slave_;  // scratch, reused every epoch
-  const ScheduleInput* last_view_ = nullptr;
   std::vector<PushState> push_state_;  // by machine id
   // The slave being classified, its fresh vector sorted by flow id; swapped
   // into its PushState when pushed.

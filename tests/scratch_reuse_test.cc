@@ -185,8 +185,9 @@ TEST(ScratchReuse, DemandCacheRefreshIsAllocationFreeUnderSlotShuffling) {
 }
 
 TEST(ScratchReuse, LinkLoadStateWarmRebuildAllocatesAtMostTwoPerCoflow) {
-  // The serve and deployment planes hand the scheduler a bare snapshot on
-  // every allocation, so each one rebuilds LinkLoadState from scratch.
+  // A caller that delivers no events (a direct harness, a HooklessScheduler
+  // reference run) hands the scheduler a bare snapshot on every
+  // allocation, so each one rebuilds LinkLoadState from scratch.
   const Fabric fabric(150, gbps(1.0));
   const Trace trace = random_trace(fabric, 19, 1000, 4);
   const Snapshot snap = snapshot_all_active(fabric, trace, false);
