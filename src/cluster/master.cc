@@ -29,7 +29,7 @@ Master::Master(const Fabric& fabric, Scheduler& scheduler,
   if (clairvoyant_) view_.clairvoyant = &clairvoyant_info_;
 }
 
-void Master::on_register(const RegisterCoflowMsg& msg) {
+bool Master::on_register(const RegisterCoflowMsg& msg) {
   NCDRF_CHECK(msg.coflow >= 0, "registration with invalid coflow id");
   NCDRF_CHECK(!msg.flows.empty() || !msg.finished_flows.empty(),
               "registration with no flows");
@@ -41,7 +41,7 @@ void Master::on_register(const RegisterCoflowMsg& msg) {
       msg.flows.empty() ? msg.finished_flows.front().id : msg.flows.front().id;
   if (flow_states_.contains(probe) || active_.contains(msg.coflow)) {
     ++registrations_ignored_;
-    return;
+    return false;
   }
   for (const Flow& f : msg.flows) {
     NCDRF_CHECK(f.src >= 0 && f.src < fabric_.num_machines(),
@@ -81,7 +81,7 @@ void Master::on_register(const RegisterCoflowMsg& msg) {
   dirty_ = true;
   // With no slave dead every live flow is visible, so the coflow joins
   // the view exactly when it has one.
-  if (!incremental_ || msg.flows.empty()) return;
+  if (!incremental_ || msg.flows.empty()) return true;
   coflow.in_view = true;
   fill_entry(coflow, view_.coflows.emplace_back());
   if (deliver_events_) {
@@ -93,6 +93,7 @@ void Master::on_register(const RegisterCoflowMsg& msg) {
     synced_ = true;
     incremental_ = true;
   }
+  return true;
 }
 
 bool Master::mark_finished(FlowId flow) {

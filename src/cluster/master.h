@@ -77,7 +77,9 @@ class Master {
 
   // Message intake. Each may mark the view dirty. Any message from a
   // machine counts as a sign of life and revives it if declared dead.
-  void on_register(const RegisterCoflowMsg& msg);
+  // on_register returns false when it ignored the registration (a coflow
+  // or first flow id the master already holds; see the class comment).
+  bool on_register(const RegisterCoflowMsg& msg);
   void on_flow_finished(const FlowFinishedMsg& msg);
   // Batched intake for drivers that learn about many finishes at once (the
   // serving front-end retires whole coflows per epoch): marks every flow,
@@ -133,8 +135,8 @@ class Master {
   long long registrations_ignored() const { return registrations_ignored_; }
 
   // Causal trace id a coflow registered with (0 = untraced / unknown or
-  // retired). The serving front-end reads this back when pairing pushes
-  // with submissions; the RateUpdateMsg trace_ids are filled from it.
+  // retired) — the id compute_allocation stamps on the coflow's entries
+  // of the RateUpdateMsg trace_ids.
   std::uint64_t trace_id(CoflowId coflow) const {
     const auto it = active_.find(coflow);
     return it == active_.end() ? 0 : it->second.trace_id;

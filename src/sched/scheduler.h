@@ -136,6 +136,20 @@ class Scheduler {
     return std::nullopt;
   }
 
+  // --- Optional observability interface ----------------------------------
+  //
+  // Drivers with an attached obs layer offer it to the scheduler before a
+  // run; policies that instrument their hot path (NC-DRF) keep the
+  // pointers, everyone else inherits the no-op. Either pointer may be
+  // null. Counters exposed through perf_counters() are owned by the
+  // scheduler and survive until it is destroyed (null = no counters).
+  virtual void set_observers(obs::Tracer* tracer,
+                             obs::MetricsRegistry* metrics) {
+    (void)tracer;
+    (void)metrics;
+  }
+  virtual const SchedPerf* perf_counters() const { return nullptr; }
+
   // --- Optional event-driven (incremental) interface ---------------------
   //
   // The DynamicSimulator and the cluster Master (under the deployment and
@@ -155,20 +169,6 @@ class Scheduler {
   // on_reset() again when it resyncs without knowing what the scheduler
   // tracks (a restarted master). One source of events at a time per
   // scheduler instance.
-  // --- Optional observability interface ----------------------------------
-  //
-  // Drivers with an attached obs layer offer it to the scheduler before a
-  // run; policies that instrument their hot path (NC-DRF) keep the
-  // pointers, everyone else inherits the no-op. Either pointer may be
-  // null. Counters exposed through perf_counters() are owned by the
-  // scheduler and survive until it is destroyed (null = no counters).
-  virtual void set_observers(obs::Tracer* tracer,
-                             obs::MetricsRegistry* metrics) {
-    (void)tracer;
-    (void)metrics;
-  }
-  virtual const SchedPerf* perf_counters() const { return nullptr; }
-
   virtual bool wants_events() const { return false; }
   virtual void on_reset(const Fabric& fabric) { (void)fabric; }
   virtual void on_coflow_arrival(const ActiveCoflow& coflow) { (void)coflow; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <iomanip>
 #include <sstream>
 #include <utility>
@@ -36,17 +37,14 @@ double elapsed(double now, double since) {
 
 ServeFront::ServeFront(const Fabric& fabric, Scheduler& scheduler,
                        int num_clients, const ServeOptions& options)
-    : options_([&] {
-        ServeOptions o = options;
-        // Serving-contract invariant: a serving master lives forever, so
-        // retired state must be dropped or memory grows with history. The
-        // front-end assigns ids and never re-registers, which is what
-        // makes forgetting safe (see MasterOptions::forget_retired).
-        o.master.forget_retired = true;
-        return o;
-      }()),
+    : options_(options),
       num_machines_(fabric.num_machines()),
-      master_(fabric, scheduler, options_.master),
+      // A serving master lives forever, so retired state must be dropped or
+      // memory grows with history; the front-end's sources assign fresh ids
+      // and never re-register, which makes forgetting safe (see
+      // MasterOptions::forget_retired). Liveness tracking stays off: no
+      // slave is quarantined, so every registered flow gets a rate vector.
+      master_(fabric, scheduler, MasterOptions{.forget_retired = true}),
       push_state_(static_cast<std::size_t>(fabric.num_machines())) {
   NCDRF_CHECK(num_clients >= 1, "serving front-end needs >= 1 client");
   NCDRF_CHECK(options_.epoch_s > 0.0, "epoch length must be positive");
@@ -105,16 +103,11 @@ ServeFront::~ServeFront() = default;
 void ServeFront::retire_due(double now) {
   finish_batch_.clear();
   while (!departures_.empty() && departures_.top().time <= now) {
-    const CoflowId coflow = departures_.top().coflow;
-    departures_.pop();
-    const auto it = live_flows_.find(coflow);
-    if (it == live_flows_.end()) continue;
-    for (const FlowId f : it->second) {
-      finish_batch_.push_back(FlowFinishedMsg{f, coflow, now});
-      awaiting_push_.erase(f);
+    const Departure& due = departures_.top();
+    for (const FlowId f : due.flows) {
+      finish_batch_.push_back(FlowFinishedMsg{f, due.coflow, now});
     }
-    causal_.erase(coflow);  // in case it retired before its first push
-    live_flows_.erase(it);
+    departures_.pop();
   }
   // One bulk report per epoch: the master marks every flow, then sweeps
   // its retirement list once (per-finish sweeps made epoch cost quadratic
@@ -139,7 +132,10 @@ int ServeFront::admit_batch(double now) {
       any = queue->drain(1, batch_) > 0 || any;
     }
   }
-  for (Submission& s : batch_) {
+  const std::size_t drained = batch_.size();
+  std::size_t registered = 0;  // batch_[0, registered) were registered
+  for (std::size_t i = 0; i < drained; ++i) {
+    Submission& s = batch_[i];
     RegisterCoflowMsg msg;
     msg.coflow = s.coflow;
     msg.arrival_time = s.submit_time;
@@ -152,24 +148,22 @@ int ServeFront::admit_batch(double now) {
       // The non-clairvoyant contract: sizes never cross the register API.
       for (Flow& f : msg.flows) f.size_bits = 0.0;
     }
-    master_.on_register(msg);
-    auto& flows = live_flows_[s.coflow];
-    flows.reserve(s.flows.size());
-    for (const Flow& f : s.flows) {
-      flows.push_back(f.id);
-      awaiting_push_.emplace(f.id, AwaitingPush{s.submit_time, s.coflow});
-    }
-    causal_.emplace(s.coflow, Causal{s.trace_id, s.submit_time, now, -1.0});
-    awaiting_alloc_.push_back(s.coflow);
-    if (s.lifetime_s > 0.0) {
-      departures_.push(Departure{now + s.lifetime_s, s.coflow});
+    // A registration the master ignored (it reuses an id the master
+    // holds) is still admitted and counted, but nothing of it is
+    // scheduled: it gets no departure and no causal stage.
+    const bool applied = master_.on_register(msg);
+    if (applied && s.lifetime_s > 0.0) {
+      Departure departure{now + s.lifetime_s, s.coflow, {}};
+      departure.flows.reserve(s.flows.size());
+      for (const Flow& f : s.flows) departure.flows.push_back(f.id);
+      departures_.push(std::move(departure));
     }
     ++admitted_;
     if (admitted_counter_ != nullptr) admitted_counter_->inc();
     if (admit_latency_ != nullptr) {
       admit_latency_->observe(elapsed(now, s.submit_time));
     }
-    if (stage_queue_ != nullptr) {
+    if (applied && stage_queue_ != nullptr) {
       stage_queue_->observe(elapsed(now, s.submit_time));
     }
     NCDRF_TRACE_INSTANT(options_.tracer, obs::EventKind::kServeAdmit, now,
@@ -181,11 +175,18 @@ int ServeFront::admit_batch(double now) {
       admit_hook(AdmitRecord{s.coflow, s.client, s.submit_time, now,
                              static_cast<int>(s.flows.size()), bits});
     }
+    if (!applied) continue;
+    for (const Flow& f : s.flows) {
+      push_state_[static_cast<std::size_t>(f.src)].gained = true;
+    }
+    if (registered != i) batch_[registered] = std::move(s);
+    ++registered;
   }
-  if (batch_size_ != nullptr && !batch_.empty()) {
-    batch_size_->observe(static_cast<double>(batch_.size()));
+  if (batch_size_ != nullptr && drained > 0) {
+    batch_size_->observe(static_cast<double>(drained));
   }
-  return static_cast<int>(batch_.size());
+  batch_.resize(registered);
+  return static_cast<int>(drained);
 }
 
 void ServeFront::shed_over_watermark(double now) {
@@ -219,27 +220,18 @@ void ServeFront::reallocate(double now) {
       master_.compute_allocation(now, alloc_, per_slave_);
   ++allocations_;
   if (alloc_hook) alloc_hook(now, view, alloc_);
-  if (alloc_latency_ != nullptr) {
-    for (const Submission& s : batch_) {
+  // Every coflow registered this epoch marked the view dirty, so this
+  // allocation is the first to cover it: its alloc stage closes at the
+  // admitting epoch's `now`.
+  for (const Submission& s : batch_) {
+    if (alloc_latency_ != nullptr) {
       alloc_latency_->observe(elapsed(now, s.submit_time));
     }
-  }
-  // Every coflow admitted since the last allocation is covered by this
-  // one (on_register marked the view dirty, and this runs in the same
-  // epoch) — close its alloc stage.
-  for (const CoflowId coflow : awaiting_alloc_) {
-    const auto it = causal_.find(coflow);
-    if (it == causal_.end()) continue;  // retired within the epoch
-    it->second.alloc = now;
-    if (stage_alloc_ != nullptr) {
-      stage_alloc_->observe(now - it->second.admit);
-    }
+    if (stage_alloc_ != nullptr) stage_alloc_->observe(0.0);
     NCDRF_TRACE_INSTANT(options_.tracer, obs::EventKind::kServeAllocCover,
-                        now, coflow,
-                        static_cast<std::int64_t>(it->second.trace_id),
-                        now - it->second.admit);
+                        now, s.coflow, static_cast<std::int64_t>(s.trace_id),
+                        0.0);
   }
-  awaiting_alloc_.clear();
 }
 
 void ServeFront::push_rates(double now) {
@@ -270,7 +262,8 @@ void ServeFront::push_rates(double now) {
                         by_flow)) {
       std::sort(fresh_sorted_.begin(), fresh_sorted_.end(), by_flow);
     }
-    bool structural = fresh_sorted_.size() != state.rates.size();
+    bool structural =
+        state.gained || fresh_sorted_.size() != state.rates.size();
     bool magnitude = false;
     for (std::size_t i = 0; !structural && i < fresh_sorted_.size(); ++i) {
       const auto& [flow, rate] = fresh_sorted_[i];
@@ -301,34 +294,8 @@ void ServeFront::push_rates(double now) {
     max_push_staleness_ = std::max(max_push_staleness_, staleness);
     epoch_staleness_ = std::max(epoch_staleness_, staleness);
     state.rates.swap(fresh_sorted_);
-    for (const auto& entry : sr.msg.rates_bps) {
-      const auto it = awaiting_push_.find(entry.first);
-      if (it != awaiting_push_.end()) {
-        if (push_latency_ != nullptr) {
-          push_latency_->observe(elapsed(now, it->second.submit));
-        }
-        // First push covering any flow of the coflow closes its causal
-        // span: the submission's rates are now at an enforcement point.
-        const auto causal = causal_.find(it->second.coflow);
-        if (causal != causal_.end()) {
-          const Causal& c = causal->second;
-          if (stage_push_ != nullptr && c.alloc >= 0.0) {
-            stage_push_->observe(now - c.alloc);
-          }
-          if (stage_total_ != nullptr) {
-            stage_total_->observe(elapsed(now, c.submit));
-          }
-          NCDRF_TRACE_INSTANT(options_.tracer,
-                              obs::EventKind::kServeFirstPush, now,
-                              it->second.coflow,
-                              static_cast<std::int64_t>(c.trace_id),
-                              elapsed(now, c.submit));
-          causal_.erase(causal);
-        }
-        awaiting_push_.erase(it);
-      }
-    }
     state.dirty_since = -1.0;
+    state.gained = false;
     ++rate_pushes_;
     if (push_counter_ != nullptr) push_counter_->inc();
     NCDRF_TRACE_INSTANT(options_.tracer, obs::EventKind::kServeRatePush, now,
@@ -348,6 +315,22 @@ void ServeFront::push_rates(double now) {
                                       std::move(out));
       }
     }
+  }
+  // Each flow registered this epoch made its slave's push structural, so
+  // the loop above sent it: every registered coflow's rates reached an
+  // enforcement point at `now`, which closes its causal span.
+  for (const Submission& s : batch_) {
+    const double waited = elapsed(now, s.submit_time);
+    if (push_latency_ != nullptr) {
+      for (std::size_t i = 0; i < s.flows.size(); ++i) {
+        push_latency_->observe(waited);
+      }
+    }
+    if (stage_push_ != nullptr) stage_push_->observe(0.0);
+    if (stage_total_ != nullptr) stage_total_->observe(waited);
+    NCDRF_TRACE_INSTANT(options_.tracer, obs::EventKind::kServeFirstPush, now,
+                        s.coflow, static_cast<std::int64_t>(s.trace_id),
+                        waited);
   }
 }
 

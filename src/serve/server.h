@@ -35,12 +35,10 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <queue>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -103,7 +101,6 @@ struct ServeOptions {
   // bus's per-destination exponential backoff (a retried push arrives
   // late, never early — bounded staleness still holds at the sender).
   RetryPolicy push_retry;
-  MasterOptions master;  // forget_retired is forced on (serving contract)
 };
 
 // Point-in-time latency record of one admitted submission, for the
@@ -152,6 +149,8 @@ class ServeFront {
 
   // --- Introspection (epoch counters are all monotone) -------------------
   long long epochs() const { return epochs_; }
+  // Every drained submission counts, including one the master ignored
+  // for reusing a coflow or flow id it holds (which is never scheduled).
   long long admitted() const { return admitted_; }
   long long allocations() const { return allocations_; }
   long long rate_pushes() const { return rate_pushes_; }
@@ -181,9 +180,12 @@ class ServeFront {
       alloc_hook;
 
  private:
+  // A modeled departure: the flows the front-end reports finished at
+  // `time`. Only a registered coflow with a lifetime gets one.
   struct Departure {
     double time;
     CoflowId coflow;
+    std::vector<FlowId> flows;
     bool operator>(const Departure& other) const {
       return time != other.time ? time > other.time : coflow > other.coflow;
     }
@@ -191,25 +193,13 @@ class ServeFront {
   // Last vector pushed to one slave, plus the staleness clock. The rates
   // are kept sorted by flow id, so a fresh vector (sorted the same way)
   // is classified against them by one merge walk; empty = nothing pushed
-  // since the machine last had live flows.
+  // since the machine last had live flows. `gained` marks a slave that
+  // originates a flow registered this epoch: its push is structural, so
+  // it goes out in the admitting epoch even if the flow id was used before.
   struct PushState {
     std::vector<std::pair<FlowId, double>> rates;
     double dirty_since = -1.0;  // first divergence time; <0 = clean
-  };
-  // Causal stage clock of one admitted coflow: the span opened at
-  // submission and closed by the first rate push that covers any of its
-  // flows. Erased once closed (or at retirement if it never closes).
-  struct Causal {
-    std::uint64_t trace_id = 0;  // 0 = untraced (stages still measured)
-    double submit = 0.0;
-    double admit = 0.0;
-    double alloc = -1.0;  // first covering allocation; < 0 = not yet
-  };
-  // One flow still waiting for its first rate push: the owning coflow
-  // (causal lookup) plus the submit time (push-latency histogram).
-  struct AwaitingPush {
-    double submit = 0.0;
-    CoflowId coflow = -1;
+    bool gained = false;
   };
 
   void retire_due(double now);
@@ -223,19 +213,14 @@ class ServeFront {
   const int num_machines_;  // fabric size, for spine adapters
   Master master_;
   std::vector<std::unique_ptr<SubmissionQueue>> queues_;
-  std::vector<Submission> batch_;  // drain scratch, reused every epoch
+  // This epoch's submissions that the master registered (drain scratch,
+  // reused every epoch). Admission, the first covering allocation and the
+  // first covering push all happen in the admitting epoch, so every causal
+  // stage is recorded from this batch.
+  std::vector<Submission> batch_;
   std::vector<FlowFinishedMsg> finish_batch_;  // retire scratch, ditto
-
-  // Admitted-coflow bookkeeping for modeled departures.
-  std::unordered_map<CoflowId, std::vector<FlowId>> live_flows_;
   std::priority_queue<Departure, std::vector<Departure>, std::greater<>>
       departures_;
-  // Flows awaiting their first rate push (push latency + causal close).
-  std::unordered_map<FlowId, AwaitingPush> awaiting_push_;
-  // Causal clocks of admitted coflows whose first push is still pending.
-  std::unordered_map<CoflowId, Causal> causal_;
-  // Coflows admitted this epoch, stamped at the next allocation.
-  std::vector<CoflowId> awaiting_alloc_;
 
   Allocation alloc_;
   std::vector<SlaveRates> per_slave_;  // scratch, reused every epoch
@@ -269,9 +254,11 @@ class ServeFront {
   obs::Histogram* alloc_latency_ = nullptr;
   obs::Histogram* push_latency_ = nullptr;
   obs::Histogram* batch_size_ = nullptr;
-  // Causal stage decomposition (virtual-time spans per coflow):
-  // queue = submit→admit, alloc = admit→covering allocation, push =
-  // allocation→first covering push, total = submit→first covering push.
+  // Causal stage decomposition (spans per registered coflow on the
+  // driver's clock): queue = submit→admit, alloc = admit→covering
+  // allocation, push = allocation→first covering push, total =
+  // submit→first covering push. The last three events share the admitting
+  // epoch's `now`, so alloc and push read 0.
   obs::Histogram* stage_queue_ = nullptr;
   obs::Histogram* stage_alloc_ = nullptr;
   obs::Histogram* stage_push_ = nullptr;

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/units.h"
@@ -483,6 +484,106 @@ TEST(ServeFront, ZeroStalenessPushesEveryDivergenceImmediately) {
   EXPECT_EQ(front.max_push_staleness(), 0.0);
 }
 
+// Deferral applies to magnitude-only changes: every flow the master
+// registers is pushed in the epoch that admits it, because a new flow
+// changes its slave's vector structurally. The causal stages are recorded
+// on that contract, so the alloc and push stages read 0.
+TEST(ServeFront, AdmittedFlowsArePushedInTheAdmittingEpoch) {
+  const int machines = 10;
+  const Fabric fabric(machines, gbps(1.0));
+  const auto sched = make_scheduler("ncdrf");
+  LoadGenOptions load;
+  load.seed = 5;
+  load.num_clients = 3;
+  load.num_machines = machines;
+  load.arrival_rate_per_s = 600.0;
+  load.duration_s = 0.1;
+  load.mean_lifetime_s = 0.01;
+  const auto schedule = LoadGenerator(load).generate();
+  std::map<CoflowId, std::vector<FlowId>> flows_of;
+  std::size_t total = 0;
+  for (const auto& client_schedule : schedule) {
+    for (const Submission& s : client_schedule) {
+      for (const Flow& f : s.flows) flows_of[s.coflow].push_back(f.id);
+      ++total;
+    }
+  }
+
+  obs::MetricsRegistry metrics;
+  SimBus bus(/*latency_s=*/0.0);
+  ServeOptions options;
+  options.epoch_s = 2e-3;
+  options.max_batch_per_epoch = 8;
+  options.staleness_s = 6e-3;
+  options.push_threshold = 0.05;
+  options.metrics = &metrics;
+  options.bus = &bus;
+  ServeFront front(fabric, *sched, load.num_clients, options);
+  std::vector<CoflowId> admitted_now;
+  front.admit_hook = [&](const serve::AdmitRecord& r) {
+    admitted_now.push_back(r.coflow);
+  };
+
+  std::vector<std::size_t> cursor(schedule.size(), 0);
+  long long admitted_flows = 0;
+  for (int epoch = 0; epoch < 100; ++epoch) {
+    const double now = epoch * options.epoch_s;
+    for (std::size_t c = 0; c < schedule.size(); ++c) {
+      while (cursor[c] < schedule[c].size() &&
+             schedule[c][cursor[c]].submit_time <= now) {
+        ASSERT_TRUE(front.queue(static_cast<int>(c))
+                        .try_enqueue(schedule[c][cursor[c]++]));
+      }
+    }
+    admitted_now.clear();
+    front.step_epoch(now);
+    std::set<FlowId> pushed;
+    for (SimBus::Delivery& delivery : bus.deliver_due(now)) {
+      if (auto* update = std::get_if<RateUpdateMsg>(&delivery.payload)) {
+        for (const auto& entry : update->rates_bps) pushed.insert(entry.first);
+      }
+    }
+    for (const CoflowId coflow : admitted_now) {
+      for (const FlowId flow : flows_of.at(coflow)) {
+        EXPECT_TRUE(pushed.contains(flow))
+            << "flow " << flow << " of coflow " << coflow
+            << " not pushed in its admitting epoch at " << now;
+        ++admitted_flows;
+      }
+    }
+  }
+  ASSERT_EQ(front.admitted(), static_cast<long long>(total));
+  EXPECT_EQ(front.backlog(), 0u);
+  EXPECT_GT(front.pushes_deferred(), 0);
+  EXPECT_EQ(metrics.histogram("serve.stage.alloc_s").max(), 0.0);
+  EXPECT_EQ(metrics.histogram("serve.stage.push_s").max(), 0.0);
+  EXPECT_EQ(metrics.histogram("serve.push_latency_s").count(), admitted_flows);
+  EXPECT_EQ(metrics.histogram("serve.stage.total_s").count(),
+            static_cast<long long>(total));
+}
+
+// The master forgets a retired coflow's flows, so it accepts a flow id
+// again once its coflow retired. A coflow that reuses a just-retired flow
+// id on the same slave, at the same rate, leaves that slave's vector
+// looking unchanged; its rates still go out in the admitting epoch.
+TEST(ServeFront, FlowIdReusedAfterRetirementPushesInAdmittingEpoch) {
+  const Fabric fabric(4, gbps(1.0));
+  const auto sched = make_scheduler("tcp");
+  ServeOptions options;
+  options.epoch_s = 1e-3;
+  ServeFront front(fabric, *sched, 1, options);
+  ASSERT_TRUE(front.queue(0).try_enqueue(make_submission(
+      0, 0, 0.0, {Flow{0, -1, 0, 1, 1e9}}, /*lifetime=*/0.5e-3)));
+  front.step_epoch(0.0);
+  EXPECT_EQ(front.rate_pushes(), 1);
+  ASSERT_TRUE(front.queue(0).try_enqueue(
+      make_submission(1, 0, 1e-3, {Flow{0, -1, 0, 1, 1e9}})));
+  front.step_epoch(1e-3);  // retires coflow 0, then admits coflow 1
+  EXPECT_EQ(front.master().registrations_ignored(), 0);
+  EXPECT_EQ(front.master().active_coflows(), 1);
+  EXPECT_EQ(front.rate_pushes(), 2);
+}
+
 // ---------------------------------------------------------------------
 // Modeled departures retire coflows through the master.
 // ---------------------------------------------------------------------
@@ -503,6 +604,45 @@ TEST(ServeFront, DeparturesRetireAdmittedCoflows) {
   EXPECT_EQ(front.master().active_coflows(), 1);
   front.step_epoch(8e-3);  // past coflow 1's dwell
   EXPECT_EQ(front.master().active_coflows(), 0);
+}
+
+// The master ignores a registration that reuses a coflow id or a flow id
+// it holds. The front-end still admits and counts such a submission, but
+// schedules nothing for it: a departure would report the original
+// coflow's flows finished and retire it early.
+TEST(ServeFront, IgnoredRegistrationRetiresNothing) {
+  const Fabric fabric(4, gbps(1.0));
+  const auto sched = make_scheduler("tcp");
+  obs::MetricsRegistry metrics;
+  ServeOptions options;
+  options.epoch_s = 1e-3;
+  options.metrics = &metrics;
+  ServeFront front(fabric, *sched, 1, options);
+  int hooked = 0;
+  front.admit_hook = [&](const serve::AdmitRecord&) { ++hooked; };
+  ASSERT_TRUE(front.queue(0).try_enqueue(make_submission(
+      0, 0, 0.0, {Flow{0, -1, 0, 1, 1e9}}, /*lifetime=*/7.5e-3)));
+  // Reuses flow 0, then coflow 0; both would depart before the original.
+  ASSERT_TRUE(front.queue(0).try_enqueue(make_submission(
+      1, 0, 0.0, {Flow{0, -1, 0, 1, 1e9}}, /*lifetime=*/2.5e-3)));
+  ASSERT_TRUE(front.queue(0).try_enqueue(make_submission(
+      0, 0, 0.0, {Flow{1, -1, 1, 2, 1e9}}, /*lifetime=*/1.5e-3)));
+  front.step_epoch(0.0);
+  EXPECT_EQ(front.admitted(), 3);
+  EXPECT_EQ(hooked, 3);
+  EXPECT_EQ(front.master().registrations_ignored(), 2);
+  EXPECT_EQ(front.master().active_coflows(), 1);
+  front.step_epoch(3e-3);  // past both ignored submissions' dwells
+  EXPECT_EQ(front.master().active_coflows(), 1);
+  front.step_epoch(8e-3);  // past the original's dwell
+  EXPECT_EQ(front.master().active_coflows(), 0);
+  // Every admission is counted; only the registered coflow has stages.
+  EXPECT_EQ(metrics.histogram("serve.admit_latency_s").count(), 3);
+  for (const char* name :
+       {"serve.stage.queue_s", "serve.alloc_latency_s", "serve.stage.alloc_s",
+        "serve.push_latency_s", "serve.stage.push_s", "serve.stage.total_s"}) {
+    EXPECT_EQ(metrics.histogram(name).count(), 1) << name;
+  }
 }
 
 // A wall-clock driver samples `now` before it steps the epoch, so a client
