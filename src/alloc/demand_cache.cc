@@ -37,6 +37,7 @@ void DemandCache::refresh(const ScheduleInput& input, ShardRuntime* runtime) {
       runtime != nullptr ? static_cast<std::size_t>(runtime->num_shards())
                          : 1;
   if (blocks_.size() < num_blocks) blocks_.resize(num_blocks);
+  for (std::size_t b = 0; b < num_blocks; ++b) blocks_[b].id_end = 0;
   if (runtime != nullptr) {
     // Each block owns its rows and scratch and writes only its coflows'
     // entries, so the blocks run in parallel once the arrays are sized.
@@ -45,9 +46,13 @@ void DemandCache::refresh(const ScheduleInput& input, ShardRuntime* runtime) {
           refresh_block(input, blocks_[static_cast<std::size_t>(block)],
                         begin, end);
         });
-    return;
+  } else {
+    refresh_block(input, blocks_[0], 0, size_);
   }
-  refresh_block(input, blocks_[0], 0, size_);
+  id_end_ = 0;
+  for (std::size_t b = 0; b < num_blocks; ++b) {
+    id_end_ = std::max(id_end_, blocks_[b].id_end);
+  }
 }
 
 void DemandCache::refresh_block(const ScheduleInput& input, Block& block,
@@ -60,6 +65,7 @@ void DemandCache::refresh_block(const ScheduleInput& input, Block& block,
   // left entries set.
   link_row.assign(static_cast<std::size_t>(fabric.num_links()), -1);
   rows.clear();
+  FlowId max_id = -1;
   for (std::size_t k = begin; k < end; ++k) {
     const ActiveCoflow& coflow = input.coflows[k];
     double* remaining = remaining_flat_.data() + remaining_offset_[k];
@@ -82,6 +88,7 @@ void DemandCache::refresh_block(const ScheduleInput& input, Block& block,
       const double size_bits = info.remaining_bits(f.id);
       NCDRF_CHECK(size_bits >= 0.0, "flow size must be non-negative");
       remaining[j++] = size_bits;
+      max_id = std::max(max_id, f.id);
       add(fabric.uplink(f.src), size_bits);
       add(fabric.downlink(f.dst), size_bits);
     }
@@ -103,6 +110,7 @@ void DemandCache::refresh_block(const ScheduleInput& input, Block& block,
     }
     c.num_rows = static_cast<std::int32_t>(rows.size() - first);
   }
+  block.id_end = static_cast<std::size_t>(max_id + 1);
   // The buffer may have moved while it grew; point each coflow at its run
   // only now.
   const DemandRow* run = rows.data();
@@ -183,9 +191,7 @@ double drf_allocate(const ScheduleInput& input, const DemandCache& cache,
                     ShardRuntime* runtime, Allocation& alloc) {
   const double p_star = cache.drf_progress(input, runtime);
   if (p_star <= 0.0) return p_star;
-  if (input.total_live_flows >= 0) {
-    alloc.reserve(static_cast<std::size_t>(input.total_live_flows));
-  }
+  alloc.reserve(cache.id_end());
   for (std::size_t k = 0; k < input.coflows.size(); ++k) {
     const ActiveCoflow& coflow = input.coflows[k];
     const double bottleneck = cache.bottleneck_bits(k);

@@ -89,6 +89,10 @@ class DemandCache {
 
   std::size_t size() const { return size_; }
 
+  // One past the largest live flow id of the last refresh(), recorded by
+  // its walk over the flows: sizes id-indexed tables (an Allocation).
+  std::size_t id_end() const { return id_end_; }
+
   // P* = min_i C_i / Σ_k w_k·c_k^i (Eq. 2) over the cached rows; 0 when
   // no coflow has remaining demand. Must be called after refresh() on the
   // same snapshot.
@@ -114,6 +118,7 @@ class DemandCache {
   struct Block {
     std::vector<DemandRow> rows;
     std::vector<std::int32_t> link_row;
+    std::size_t id_end = 0;  // one past the block's largest flow id
   };
 
   void refresh_block(const ScheduleInput& input, Block& block,
@@ -130,6 +135,7 @@ class DemandCache {
   // Per-block load partials for the sharded drf_progress reduction.
   mutable std::vector<std::vector<double>> block_load_;
   std::size_t size_ = 0;
+  std::size_t id_end_ = 0;
 };
 
 // The DRF stage shared by DrfScheduler and HUG: raises every coflow's

@@ -79,6 +79,7 @@ const FlowTable& KernelScratch::gather(const ScheduleInput& input,
   }
 
   std::size_t row = 0;
+  FlowId max_id = -1;
   for (std::size_t k = 0; k < num_coflows; ++k) {
     const ActiveCoflow& coflow = input.coflows[k];
     if (with_counts) {
@@ -98,6 +99,7 @@ const FlowTable& KernelScratch::gather(const ScheduleInput& input,
       const auto u = static_cast<std::int32_t>(f.src);
       const auto d = static_cast<std::int32_t>(f.dst + num_machines);
       table_.flow[row] = f.id;
+      max_id = std::max(max_id, f.id);
       table_.up[row] = u;
       table_.dn[row] = d;
       if (with_counts) {
@@ -107,13 +109,14 @@ const FlowTable& KernelScratch::gather(const ScheduleInput& input,
       ++row;
     }
   }
+  table_.id_end = static_cast<std::size_t>(max_id + 1);
   std::fill(table_.rate, table_.rate + n, 0.0);
   return table_;
 }
 
 void KernelScratch::commit(const FlowTable& table, Allocation& alloc,
                            bool skip_zero) {
-  alloc.reserve(table.num_flows);
+  alloc.reserve(table.id_end);
   if (skip_zero) {
     for (std::size_t i = 0; i < table.num_flows; ++i) {
       if (table.rate[i] > 0.0) alloc.set_rate(table.flow[i], table.rate[i]);

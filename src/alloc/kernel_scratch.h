@@ -85,6 +85,7 @@ enum class GatherCounts {
 struct FlowTable {
   std::size_t num_flows = 0;
   std::size_t num_coflows = 0;
+  std::size_t id_end = 0;          // one past the largest flow id
   FlowId* flow = nullptr;          // dense flow ids, coflow-major
   std::int32_t* up = nullptr;      // uplink LinkId of flow i
   std::int32_t* dn = nullptr;      // downlink LinkId of flow i
@@ -115,7 +116,8 @@ class KernelScratch {
   // Extra per-call columns (e.g. waterfill weights) from the same arena.
   ScratchArena& arena() { return arena_; }
 
-  // Writes the rate column into `alloc`, one set_rate per flow. With
+  // Writes the rate column into `alloc`, one set_rate per flow, after
+  // sizing its id-indexed table once for ids below `id_end`. With
   // `skip_zero`, rows whose accumulator is exactly 0.0 stay unmentioned —
   // the policies whose legacy paths only ever add positive rates (PS-P)
   // keep their has_rate() surface unchanged.

@@ -13,6 +13,7 @@ LinkLoadState::LinkLoadState(bool count_finished_flows)
 void LinkLoadState::reset(const Fabric& fabric) {
   fabric_ = &fabric;
   coflows_.clear();
+  id_end_ = 0;
   const auto links = static_cast<std::size_t>(fabric.num_links());
   live_link_counts_.assign(links, 0);
   counted_coflows_on_link_.assign(links, 0);
@@ -39,9 +40,11 @@ const LinkLoadState::CoflowLoad& LinkLoadState::add_coflow(
     rows_scratch_[r].counted += 1;
     rows_scratch_[r].live += live;
   };
+  FlowId max_id = -1;
   for (const ActiveFlow& f : coflow.flows) {
     count(fabric_->uplink(f.src), 1);
     count(fabric_->downlink(f.dst), 1);
+    max_id = std::max(max_id, f.id);
   }
   int counted_flows = static_cast<int>(coflow.flows.size());
   if (count_finished_flows_) {
@@ -61,6 +64,7 @@ const LinkLoadState::CoflowLoad& LinkLoadState::add_coflow(
   cs.live_flows = static_cast<int>(coflow.flows.size());
   cs.counted_flows = counted_flows;
   cs.rows.assign(rows_scratch_.begin(), rows_scratch_.end());
+  id_end_ = std::max(id_end_, static_cast<std::size_t>(max_id + 1));
   for (const LinkRow& row : cs.rows) {
     // Every row holds at least one counted flow at arrival.
     live_link_counts_[index(row.link)] += row.live;
@@ -158,6 +162,7 @@ void LinkLoadState::check_consistent(const ScheduleInput& input) const {
               "per-link live totals diverged from rebuild");
   NCDRF_CHECK(fresh.counted_coflows_on_link_ == counted_coflows_on_link_,
               "per-link coflow presence diverged from rebuild");
+  NCDRF_CHECK(fresh.id_end_ <= id_end_, "flow id bound below a live id");
   // Row order follows the event order, and live-mode maintenance keeps
   // rows whose counts fell back to zero, which a fresh rebuild never
   // writes. Compare the rows with a positive count as sets (rows of

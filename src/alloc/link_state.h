@@ -116,6 +116,10 @@ class LinkLoadState {
   }
 
   std::size_t num_coflows() const { return coflows_.size(); }
+  // One past the largest flow id of any coflow added since reset(): a
+  // bound on the live ids that sizes id-indexed tables (an Allocation)
+  // without a pass over the flows. Departures never lower it.
+  std::size_t id_end() const { return id_end_; }
   bool bound() const { return fabric_ != nullptr; }
   const Fabric& fabric() const { return *fabric_; }
   bool count_finished_flows() const { return count_finished_flows_; }
@@ -135,6 +139,7 @@ class LinkLoadState {
   std::unordered_map<CoflowId, CoflowLoad> coflows_;
   std::vector<int> live_link_counts_;
   std::vector<int> counted_coflows_on_link_;
+  std::size_t id_end_ = 0;
   // Arrival scratch: the run being built, and link -> its row in the run
   // (valid only where it points at a row for that link).
   std::vector<LinkRow> rows_scratch_;

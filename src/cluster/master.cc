@@ -43,9 +43,24 @@ bool Master::on_register(const RegisterCoflowMsg& msg) {
     ++registrations_ignored_;
     return false;
   }
+  // All or nothing: a registration that throws leaves the master as it
+  // was, so every check runs before the first state change, and a flow id
+  // the master holds (or the message repeats) undoes this call's inserts.
+  // A non-positive weight would throw from the policy's arrival hook after
+  // the coflow joined the view, and again at every later resync.
+  NCDRF_CHECK(msg.weight > 0.0, "registration with a non-positive weight");
+  const auto on_fabric = [&](MachineId m) {
+    return m >= 0 && m < fabric_.num_machines();
+  };
+  for (const auto* flows : {&msg.flows, &msg.finished_flows}) {
+    for (const Flow& f : *flows) {
+      NCDRF_CHECK(on_fabric(f.src) && on_fabric(f.dst),
+                  "registered flow has an endpoint outside the fabric");
+      NCDRF_CHECK(f.coflow == msg.coflow,
+                  "registered flow tagged with a different coflow id");
+    }
+  }
   for (const Flow& f : msg.flows) {
-    NCDRF_CHECK(f.src >= 0 && f.src < fabric_.num_machines(),
-                "registered flow leaves a machine outside the fabric");
     NCDRF_CHECK(!clairvoyant_ || f.size_bits > 0.0,
                 "clairvoyant scheduler needs registered flow sizes");
   }
@@ -56,19 +71,21 @@ bool Master::on_register(const RegisterCoflowMsg& msg) {
   state.tenant = msg.tenant;
   state.trace_id = msg.trace_id;
   state.flows.reserve(msg.flows.size() + msg.finished_flows.size());
-  for (const Flow& f : msg.flows) {
-    const bool fresh =
-        flow_states_.try_emplace(f.id, FlowState{f, false, 0.0}).second;
-    NCDRF_CHECK(fresh, "duplicate flow registration");
-    state.flows.push_back(f.id);
-  }
-  for (const Flow& f : msg.finished_flows) {
-    // Already delivered in full: attained equals the (observable) size.
-    const bool fresh =
-        flow_states_.try_emplace(f.id, FlowState{f, true, f.size_bits}).second;
-    NCDRF_CHECK(fresh, "duplicate flow registration");
-    state.flows.push_back(f.id);
-  }
+  const auto insert = [&](const Flow& f, bool finished) {
+    // A finished flow was delivered in full: attained equals its
+    // (observable) size.
+    if (flow_states_
+            .try_emplace(f.id, FlowState{f, finished,
+                                         finished ? f.size_bits : 0.0})
+            .second) {
+      state.flows.push_back(f.id);
+      return;
+    }
+    for (const FlowId id : state.flows) flow_states_.erase(id);
+    NCDRF_CHECK(false, "duplicate flow registration");
+  };
+  for (const Flow& f : msg.flows) insert(f, false);
+  for (const Flow& f : msg.finished_flows) insert(f, true);
   for (const Flow& f : msg.flows) {
     ++unfinished_at_[static_cast<std::size_t>(f.src)];
   }
@@ -85,8 +102,8 @@ bool Master::on_register(const RegisterCoflowMsg& msg) {
   coflow.in_view = true;
   fill_entry(coflow, view_.coflows.emplace_back());
   if (deliver_events_) {
-    // A hook that throws (an invalid weight, say) leaves the policy's
-    // tracked set unknown: the next allocation resets and resyncs it.
+    // A hook that throws leaves the policy's tracked set unknown: the next
+    // allocation resets and resyncs it.
     incremental_ = false;
     synced_ = false;
     scheduler_.on_coflow_arrival(view_.coflows.back());

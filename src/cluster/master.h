@@ -78,7 +78,11 @@ class Master {
   // Message intake. Each may mark the view dirty. Any message from a
   // machine counts as a sign of life and revives it if declared dead.
   // on_register returns false when it ignored the registration (a coflow
-  // or first flow id the master already holds; see the class comment).
+  // or first flow id the master already holds; see the class comment). It
+  // throws CheckError, and changes nothing, when the weight is not
+  // positive, a flow has an endpoint outside the fabric or carries another
+  // coflow's id, or a flow id is one the master holds or the message
+  // already listed.
   bool on_register(const RegisterCoflowMsg& msg);
   void on_flow_finished(const FlowFinishedMsg& msg);
   // Batched intake for drivers that learn about many finishes at once (the

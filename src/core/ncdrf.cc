@@ -302,7 +302,7 @@ Allocation NcDrfScheduler::allocate(const ScheduleInput& input) {
   // Algorithm 1 lines 10-15: every flow of coflow k runs at
   // r_k = w_k · P̂*/n̄_k, so the coflow's aggregate on link i is
   // w_k · ĉ_k^i · P̂* (weights default to 1, recovering the paper's form).
-  alloc.reserve(static_cast<std::size_t>(live_flows_hint(input)));
+  alloc.reserve(state_.id_end());
   for (const ActiveCoflow& coflow : input.coflows) {
     if (coflow.flows.empty()) continue;
     const LinkLoadState::CoflowLoad& cs = *state_.find(coflow.id);

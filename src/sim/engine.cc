@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <queue>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -22,43 +23,35 @@ constexpr double kInfinity = std::numeric_limits<double>::infinity();
 }  // namespace
 
 struct DynamicSimulator::Impl {
-  // One active coflow's state. Owns its Coflow copy; `unfinished` /
-  // `finished` point into it, so entries are heap-allocated and never
-  // moved after creation.
+  // One coflow's engine-side state: its Coflow copy and the progress
+  // denominators. Its flow lists are its view in `input.coflows`.
   struct ActiveEntry {
-    explicit ActiveEntry(Coflow c) : coflow(std::move(c)) {}
     Coflow coflow;
-    std::vector<const Flow*> unfinished;
-    std::vector<const Flow*> finished;
     std::vector<double> correlation;  // c_k from original demand (Eq. 1)
     LinkId dom_link = -1;             // arg-max of the original demand
-    // The entry's ActiveCoflow view in `input` (same index as in `active`)
-    // no longer matches unfinished/finished and must be re-filled before
-    // the next allocate(). Views of clean entries are reused as-is.
-    bool dirty = false;
-    // Some flow of this entry has remaining ≤ epsilon — the retire phase
-    // only scans flagged entries instead of rescanning every flow.
+    // Some live flow has remaining ≤ epsilon — the retire phase only
+    // scans flagged coflows instead of rescanning every flow.
     bool finish_pending = false;
   };
 
   struct PendingLater {
     bool operator()(const std::unique_ptr<ActiveEntry>& a,
                     const std::unique_ptr<ActiveEntry>& b) const {
-      if (a->coflow.arrival_time() != b->coflow.arrival_time()) {
-        return a->coflow.arrival_time() > b->coflow.arrival_time();
-      }
-      return a->coflow.id() > b->coflow.id();
+      return std::pair(a->coflow.arrival_time(), a->coflow.id()) >
+             std::pair(b->coflow.arrival_time(), b->coflow.id());
     }
   };
 
   Impl(const Fabric& fabric_in, Scheduler& scheduler_in, SimOptions opts)
-      : fabric(fabric_in), scheduler(scheduler_in), options(opts) {
+      : fabric(fabric_in),
+        scheduler(scheduler_in),
+        options(opts),
+        machines(static_cast<std::size_t>(fabric.num_machines())) {
     NCDRF_CHECK(options.completion_epsilon_bits > 0.0,
                 "completion epsilon must be positive");
     input.fabric = &fabric;
-    const auto links = static_cast<std::size_t>(fabric.num_links());
-    scratch_link_alloc.assign(links, 0.0);
-    scratch_live.assign(links, 0);
+    scratch_link_alloc.assign(2 * machines, 0.0);
+    scratch_live.assign(2 * machines, 0);
     if (options.metrics != nullptr) {
       // Instruments are looked up once; per-event cost is an increment.
       m_arrivals = &options.metrics->counter("sim.coflow_arrivals");
@@ -74,6 +67,10 @@ struct DynamicSimulator::Impl {
   const Fabric& fabric;
   Scheduler& scheduler;
   SimOptions options;
+  // Links are indexed directly: a flow's uplink is `src`, its downlink
+  // `dst + machines`. submit() range-checks both endpoints through
+  // Coflow::demand.
+  const std::size_t machines;
   CompletionCallback on_complete;
   // Deliver arrival/flow-finish/departure deltas to the scheduler (set at
   // the first run_until() from Scheduler::wants_events) so event-driven
@@ -90,11 +87,12 @@ struct DynamicSimulator::Impl {
   bool paused = false;
   Allocation paused_alloc;
   double paused_horizon = 0.0;
-  std::vector<std::unique_ptr<ActiveEntry>> active;
-  // The scheduler snapshot, maintained incrementally: input.coflows[a] is
-  // the view of active[a] and follows its swap-pop moves. Views are
-  // re-filled only for dirty entries; attained_bits is bumped in place
-  // during the advance step.
+  std::vector<ActiveEntry> active;
+  // The scheduler snapshot, and the engine's own flow lists:
+  // input.coflows[a] belongs to active[a] and follows its swap-pop moves.
+  // Its `flows` are the coflow's live flows in flow order, compacted in
+  // place as flows finish, and its `finished_flows` the rest in finishing
+  // order; attained_bits is bumped in place during the advance step.
   ScheduleInput input;
   std::priority_queue<std::unique_ptr<ActiveEntry>,
                       std::vector<std::unique_ptr<ActiveEntry>>, PendingLater>
@@ -104,12 +102,19 @@ struct DynamicSimulator::Impl {
   // until take_result() re-sorts the records.
   std::unordered_map<CoflowId, std::size_t> record_index;
 
+  // The event's rate of every live flow, in snapshot order (coflow by
+  // coflow, each coflow's live flows in order): copied from the Allocation
+  // by the clamp's first pass and scaled to its final value by the second,
+  // then read by the fused progress-and-advance pass. It outlives a
+  // run_until() pause with the allocation it came from.
+  std::vector<double> rates;
+
   // Canonical completion times, indexed by FlowId alongside `remaining`.
   // finish_at is the absolute finish time computed when the flow's rate
   // last changed; while the rate stays put it is invariant, so it is kept
   // rather than recomputed from the shrinking remainder (recomputing would
   // drift event times by ulps). The next completion is the minimum over
-  // the live flows, taken in the clamp pass that visits them anyway.
+  // the live flows, taken in the clamp's second pass.
   std::vector<double> last_rate;  // rate finish_at was computed with
   std::vector<double> finish_at;  // canonical finish time; inf = no event
   std::size_t unfinished_flows = 0;
@@ -121,18 +126,14 @@ struct DynamicSimulator::Impl {
   obs::Counter* m_allocations = nullptr;
   obs::Histogram* m_utilization = nullptr;
 
-  // Scratch buffers for progress_of and clamp_and_next_completion
-  // (hoisted out of the per-call path). scratch_link_alloc / scratch_live
-  // are zero outside the links listed in scratch_touched.
+  // Scratch buffers for the per-coflow progress aggregate and
+  // clamp_and_next_completion (hoisted out of the per-event path).
+  // scratch_link_alloc / scratch_live are zero outside the links listed in
+  // scratch_touched.
   std::vector<double> scratch_link_alloc;
   std::vector<char> scratch_live;
   std::vector<std::size_t> scratch_touched;
   std::vector<double> scratch_clamp;
-  std::vector<std::pair<std::size_t, double>> scratch_changed;
-
-  double& remaining_of(const Flow& f) {
-    return remaining[static_cast<std::size_t>(f.id)];
-  }
 
   void submit(Coflow coflow) {
     NCDRF_CHECK(coflow.arrival_time() >= now - kTimeTolerance,
@@ -156,11 +157,8 @@ struct DynamicSimulator::Impl {
     record_index.emplace(rec.id, result.coflows.size());
     result.coflows.push_back(rec);
 
-    auto entry = std::make_unique<ActiveEntry>(std::move(coflow));
-    entry->correlation = d.correlation();
-    entry->dom_link = d.bottleneck_link;
     FlowId max_flow_id = -1;
-    for (const Flow& f : entry->coflow.flows()) {
+    for (const Flow& f : coflow.flows()) {
       NCDRF_CHECK(f.id >= 0, "flow ids must be non-negative");
       max_flow_id = std::max(max_flow_id, f.id);
     }
@@ -170,182 +168,121 @@ struct DynamicSimulator::Impl {
       last_rate.resize(size, 0.0);
       finish_at.resize(size, kInfinity);
     }
-    pending.push(std::move(entry));
+    pending.push(std::make_unique<ActiveEntry>(
+        ActiveEntry{std::move(coflow), d.correlation(), d.bottleneck_link}));
   }
 
   void admit_due() {
     while (!pending.empty() &&
            pending.top()->coflow.arrival_time() <= now + kTimeTolerance) {
-      auto entry = std::move(
-          const_cast<std::unique_ptr<ActiveEntry>&>(pending.top()));
+      ActiveEntry entry = std::move(*pending.top());
       pending.pop();
-      entry->unfinished.reserve(entry->coflow.flows().size());
-      for (const Flow& f : entry->coflow.flows()) {
-        remaining_of(f) = f.size_bits;
-        entry->unfinished.push_back(&f);
-        ++unfinished_flows;
+      const Coflow& coflow = entry.coflow;
+      ActiveCoflow view;
+      view.id = coflow.id();
+      view.arrival_time = coflow.arrival_time();
+      view.tenant = coflow.tenant();
+      view.weight = coflow.weight();
+      view.flows.reserve(coflow.flows().size());
+      for (const Flow& f : coflow.flows()) {
+        remaining[static_cast<std::size_t>(f.id)] = f.size_bits;
+        view.flows.push_back(ActiveFlow{f.id, f.coflow, f.src, f.dst});
         if (f.size_bits <= options.completion_epsilon_bits) {
-          entry->finish_pending = true;  // zero-size flow: retire at once
+          entry.finish_pending = true;  // zero-size flow: retire at once
         }
       }
-      ActiveCoflow view;
-      view.id = entry->coflow.id();
-      view.arrival_time = entry->coflow.arrival_time();
-      view.tenant = entry->coflow.tenant();
-      view.weight = entry->coflow.weight();
-      view.flows.reserve(entry->unfinished.size());
-      for (const Flow* f : entry->unfinished) {
-        view.flows.push_back(ActiveFlow{f->id, f->coflow, f->src, f->dst});
-      }
+      unfinished_flows += view.flows.size();
       input.coflows.push_back(std::move(view));
       if (deliver_events) {
         scheduler.on_coflow_arrival(input.coflows.back());
       }
       NCDRF_TRACE_INSTANT(options.tracer, obs::EventKind::kCoflowArrival,
-                          now, entry->coflow.id(), entry->coflow.width());
+                          now, coflow.id(), coflow.width());
       if (m_arrivals != nullptr) m_arrivals->inc();
       active.push_back(std::move(entry));
     }
   }
 
-  // Re-fills the views of dirty entries from their unfinished/finished
-  // lists; clean views are reused untouched.
-  void refresh_views() {
-    for (std::size_t a = 0; a < active.size(); ++a) {
-      ActiveEntry& entry = *active[a];
-      if (!entry.dirty) continue;
-      ActiveCoflow& view = input.coflows[a];
-      view.flows.clear();
-      view.flows.reserve(entry.unfinished.size());
-      for (const Flow* f : entry.unfinished) {
-        view.flows.push_back(ActiveFlow{f->id, f->coflow, f->src, f->dst});
-      }
-      view.finished_flows.clear();
-      view.finished_flows.reserve(entry.finished.size());
-      for (const Flow* f : entry.finished) {
-        view.finished_flows.push_back(
-            ActiveFlow{f->id, f->coflow, f->src, f->dst});
-      }
-      entry.dirty = false;
-    }
-  }
-
-  // Debug oracle for the incremental snapshot: every view must equal a
-  // from-scratch rebuild of the entry it mirrors (structure exactly;
-  // attained_bits is maintained in place and checked for finiteness).
+  // Debug oracle for the snapshot: each view must split its coflow's
+  // flows into the live ones, in flow order, and the finished ones, each
+  // within the completion epsilon of done (attained_bits is maintained in
+  // place and checked for finiteness).
   void check_snapshot_consistent() const {
     NCDRF_CHECK(input.coflows.size() == active.size(),
                 "snapshot/active size mismatch");
+    using Key = std::tuple<FlowId, CoflowId, MachineId, MachineId>;
+    const auto key = [](const auto& f) {  // a Flow's or an ActiveFlow's
+      return Key{f.id, f.coflow, f.src, f.dst};
+    };
+    std::size_t live_flows = 0;
     for (std::size_t a = 0; a < active.size(); ++a) {
-      const ActiveEntry& entry = *active[a];
+      const Coflow& coflow = active[a].coflow;
       const ActiveCoflow& view = input.coflows[a];
-      NCDRF_CHECK(!entry.dirty, "dirty view reached the scheduler");
-      NCDRF_CHECK(view.id == entry.coflow.id(), "snapshot id mismatch");
-      NCDRF_CHECK(view.arrival_time == entry.coflow.arrival_time(),
-                  "snapshot arrival mismatch");
-      NCDRF_CHECK(view.weight == entry.coflow.weight(),
-                  "snapshot weight mismatch");
-      NCDRF_CHECK(view.tenant == entry.coflow.tenant(),
-                  "snapshot tenant mismatch");
+      NCDRF_CHECK(view.id == coflow.id() &&
+                      view.arrival_time == coflow.arrival_time() &&
+                      view.weight == coflow.weight() &&
+                      view.tenant == coflow.tenant(),
+                  "snapshot coflow fields mismatch");
       NCDRF_CHECK(std::isfinite(view.attained_bits) &&
                       view.attained_bits >= 0.0,
                   "snapshot attained_bits invalid");
-      NCDRF_CHECK(view.flows.size() == entry.unfinished.size(),
-                  "snapshot live-flow count mismatch");
-      for (std::size_t i = 0; i < entry.unfinished.size(); ++i) {
-        const Flow& f = *entry.unfinished[i];
-        const ActiveFlow& v = view.flows[i];
-        NCDRF_CHECK(v.id == f.id && v.coflow == f.coflow && v.src == f.src &&
-                        v.dst == f.dst,
-                    "snapshot live flow mismatch");
+      // The live list is a subsequence of the coflow's flows, and what it
+      // skips is exactly the finished list.
+      std::vector<Key> skipped;
+      std::vector<Key> finished;
+      std::size_t live = 0;
+      for (const Flow& f : coflow.flows()) {
+        if (live < view.flows.size() && key(view.flows[live]) == key(f)) {
+          ++live;
+        } else {
+          skipped.push_back(key(f));
+        }
       }
-      NCDRF_CHECK(view.finished_flows.size() == entry.finished.size(),
-                  "snapshot finished-flow count mismatch");
-      for (std::size_t i = 0; i < entry.finished.size(); ++i) {
-        const Flow& f = *entry.finished[i];
-        const ActiveFlow& v = view.finished_flows[i];
-        NCDRF_CHECK(v.id == f.id && v.coflow == f.coflow && v.src == f.src &&
-                        v.dst == f.dst,
-                    "snapshot finished flow mismatch");
+      for (const ActiveFlow& f : view.finished_flows) {
+        NCDRF_CHECK(remaining[static_cast<std::size_t>(f.id)] <=
+                        options.completion_epsilon_bits,
+                    "snapshot finished flow has bits left");
+        finished.push_back(key(f));
       }
+      std::sort(skipped.begin(), skipped.end());
+      std::sort(finished.begin(), finished.end());
+      NCDRF_CHECK(live > 0 && live == view.flows.size() && skipped == finished,
+                  "snapshot flows do not split the coflow's flows");
+      live_flows += live;
     }
-  }
-
-  // Progress of one active coflow (Eq. 1) against its original
-  // correlation, over the links its live flows touch. Leaves the coflow's
-  // per-link aggregate in scratch_link_alloc (zero on untouched links)
-  // until the next call.
-  double progress_of(const ActiveEntry& entry, const Allocation& alloc) {
-    for (const std::size_t link : scratch_touched) {
-      scratch_link_alloc[link] = 0.0;
-      scratch_live[link] = 0;
-    }
-    scratch_touched.clear();
-    const auto touch = [&](std::size_t link, double r) {
-      scratch_link_alloc[link] += r;
-      if (!scratch_live[link]) {
-        scratch_live[link] = 1;
-        scratch_touched.push_back(link);
-      }
-    };
-    for (const Flow* f : entry.unfinished) {
-      const double r = alloc.rate(f->id);
-      touch(static_cast<std::size_t>(fabric.uplink(f->src)), r);
-      touch(static_cast<std::size_t>(fabric.downlink(f->dst)), r);
-    }
-    double progress = kInfinity;
-    for (const std::size_t link : scratch_touched) {
-      if (entry.correlation[link] > 0.0) {
-        progress = std::min(progress,
-                            scratch_link_alloc[link] / entry.correlation[link]);
-      }
-    }
-    return std::isfinite(progress) ? progress : 0.0;
-  }
-
-  // True when a flow's canonical finish time still holds at rate r: the
-  // rate is unchanged, and a positive rate already has a finite time.
-  bool finish_current(std::size_t idx, double r) const {
-    return r == last_rate[idx] && (r <= 0.0 || finish_at[idx] < kInfinity);
+    NCDRF_CHECK(live_flows == unfinished_flows,
+                "snapshot live-flow total mismatch");
   }
 
   // Brings one flow's canonical finish time up to date with its final rate
-  // and returns it.
+  // r and returns it. The time still holds when the rate is unchanged and
+  // a positive rate already has a finite time.
   double update_finish(std::size_t idx, double r) {
-    if (!finish_current(idx, r)) {
+    if (r != last_rate[idx] || (r > 0.0 && !(finish_at[idx] < kInfinity))) {
       last_rate[idx] = r;
       finish_at[idx] = r > 0.0 ? now + remaining[idx] / r : kInfinity;
     }
     return finish_at[idx];
   }
 
-  // One pass over the live flows doing the work of clamp_to_capacity's
-  // usage accumulation AND the completion refresh; returns the earliest
-  // completion time (the minimum of the live flows' finish_at). Because
-  // clamping may still rescale the rates, the shared pass only *collects*
-  // the flows whose rate changed; their finish times are updated after
-  // the feasibility check, from the (usually short) changed list on the
-  // feasible path or in the rescale pass otherwise. Either way each flow
-  // is compared once, final rate against the rate its finish time was
-  // computed with, so a clamp that lands a flow back on its old rate
-  // keeps its old finish time. Links overshoot by ulps routinely (the DRF
-  // stage saturates the bottleneck exactly), so the rescale pass is common.
+  // Copies the allocation into `rates`, clamps it to link capacity and
+  // returns the earliest completion time (the minimum of the live flows'
+  // finish_at). The first pass reads each live flow's rate once and sums
+  // link usage; the second scales the rates on overfull links and brings
+  // each finish time up to date with its final rate. A clamp that lands a
+  // flow back on the rate its finish time was computed with keeps that
+  // time. Links overshoot by ulps routinely (the DRF stage saturates the
+  // bottleneck exactly), so scaling is common.
   double clamp_and_next_completion(Allocation& alloc) {
-    const auto links = static_cast<std::size_t>(fabric.num_links());
-    scratch_clamp.assign(links, 0.0);
-    scratch_changed.clear();
-    double next = kInfinity;
-    for (const auto& entry : active) {
-      for (const Flow* f : entry->unfinished) {
-        const double r = alloc.rate(f->id);
-        scratch_clamp[static_cast<std::size_t>(fabric.uplink(f->src))] += r;
-        scratch_clamp[static_cast<std::size_t>(fabric.downlink(f->dst))] += r;
-        const auto idx = static_cast<std::size_t>(f->id);
-        if (finish_current(idx, r)) {
-          next = std::min(next, finish_at[idx]);
-        } else {
-          scratch_changed.emplace_back(idx, r);
-        }
+    scratch_clamp.assign(2 * machines, 0.0);
+    rates.resize(unfinished_flows);
+    std::size_t k = 0;
+    for (const ActiveCoflow& view : input.coflows) {
+      for (const ActiveFlow& f : view.flows) {
+        const double r = alloc.rate(f.id);
+        rates[k++] = r;
+        scratch_clamp[static_cast<std::size_t>(f.src)] += r;
+        scratch_clamp[static_cast<std::size_t>(f.dst) + machines] += r;
       }
     }
     bool any_over = false;
@@ -358,34 +295,96 @@ struct DynamicSimulator::Impl {
         scratch_clamp[idx] = 1.0;
       }
     }
-    if (!any_over) {
-      for (const auto& [idx, r] : scratch_changed) {
-        next = std::min(next, update_finish(idx, r));
-      }
-      return next;
-    }
-    // Rescale pass: every flow's finish time is refreshed against its
-    // final rate (including flows that dropped to zero — their canonical
-    // finish time must become infinity).
-    next = kInfinity;
-    for (const auto& entry : active) {
-      for (const Flow* f : entry->unfinished) {
-        double r = alloc.rate(f->id);
-        if (r > 0.0) {
-          const double s = std::min(
-              scratch_clamp[static_cast<std::size_t>(fabric.uplink(f->src))],
-              scratch_clamp[static_cast<std::size_t>(
-                  fabric.downlink(f->dst))]);
+    double next = kInfinity;
+    k = 0;
+    for (const ActiveCoflow& view : input.coflows) {
+      for (const ActiveFlow& f : view.flows) {
+        double& r = rates[k++];
+        if (any_over && r > 0.0) {
+          const double s =
+              std::min(scratch_clamp[static_cast<std::size_t>(f.src)],
+                       scratch_clamp[static_cast<std::size_t>(f.dst) +
+                                     machines]);
           if (s < 1.0) {
             r *= s;
-            alloc.set_rate(f->id, r);
+            alloc.set_rate(f.id, r);
           }
         }
-        next = std::min(
-            next, update_finish(static_cast<std::size_t>(f->id), r));
+        next = std::min(next,
+                        update_finish(static_cast<std::size_t>(f.id), r));
       }
     }
     return next;
+  }
+
+  // Adds a flow's rate to its coflow's aggregate on `link`.
+  void touch(std::size_t link, double r) {
+    scratch_link_alloc[link] += r;
+    if (!scratch_live[link]) {
+      scratch_live[link] = 1;
+      scratch_touched.push_back(link);
+    }
+  }
+
+  // Progress (Eq. 1) over [now, now + dt) of a coflow whose live flows'
+  // rates were touch()ed, against its original correlation: records its
+  // progress sample and auditor record, clears the aggregate and returns
+  // the progress.
+  double take_progress(const ActiveEntry& entry, double dt) {
+    double p = kInfinity;
+    for (const std::size_t link : scratch_touched) {
+      if (entry.correlation[link] > 0.0) {
+        p = std::min(p, scratch_link_alloc[link] / entry.correlation[link]);
+      }
+    }
+    p = std::isfinite(p) ? p : 0.0;
+    if (options.record_progress_timeseries) {
+      result.progress.push_back(
+          ProgressSample{now, now + dt, entry.coflow.id(), p});
+    }
+    if (options.auditor != nullptr) {
+      // The coflow's per-link aggregate gives its dominant-link share free.
+      double dominant_share = 0.0;
+      if (entry.dom_link >= 0) {
+        const auto dom = static_cast<std::size_t>(entry.dom_link);
+        dominant_share =
+            scratch_link_alloc[dom] / fabric.capacity(entry.dom_link);
+      }
+      options.auditor->record(now, now + dt, entry.coflow.id(), p,
+                              dominant_share);
+    }
+    for (const std::size_t link : scratch_touched) {
+      scratch_link_alloc[link] = 0.0;
+      scratch_live[link] = 0;
+    }
+    scratch_touched.clear();
+    return p;
+  }
+
+  // Moves the finished flows of the coflow at `a` from its live list to
+  // its finished list, compacting the live list in place, and reports each
+  // finish. Returns true when no live flow is left.
+  bool retire_flows(std::size_t a) {
+    ActiveCoflow& view = input.coflows[a];
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < view.flows.size(); ++i) {
+      const ActiveFlow f = view.flows[i];
+      const auto idx = static_cast<std::size_t>(f.id);
+      if (remaining[idx] > options.completion_epsilon_bits) {
+        view.flows[kept++] = f;
+        continue;
+      }
+      view.finished_flows.push_back(f);
+      finish_at[idx] = kInfinity;
+      last_rate[idx] = 0.0;
+      --unfinished_flows;
+      if (deliver_events) scheduler.on_flow_finish(f);
+      NCDRF_TRACE_INSTANT(options.tracer, obs::EventKind::kFlowFinish, now,
+                          f.id, f.coflow);
+      if (m_flow_finishes != nullptr) m_flow_finishes->inc();
+    }
+    view.flows.resize(kept);
+    return kept == 0;
   }
 
   void run_until(double t) {
@@ -413,8 +412,6 @@ struct DynamicSimulator::Impl {
         admit_due();
         continue;
       } else {
-        // Bring the persistent snapshot up to date for the scheduler.
-        refresh_views();
         input.now = now;
         input.total_live_flows = static_cast<int>(unfinished_flows);
         if (options.verify_snapshot) check_snapshot_consistent();
@@ -452,57 +449,29 @@ struct DynamicSimulator::Impl {
       NCDRF_CHECK(now + dt <= options.max_time_s,
                   "simulated time limit exceeded");
 
-      // Time-weighted metrics over [now, now + dt).
-      if (dt > 0.0 &&
+      // One pass over the live flows: advance the fluid state, flagging
+      // coflows with flows at (or below) the completion epsilon so the
+      // retire phase can skip the rest, and, when time-weighted metrics
+      // over [now, now + dt) are on, sum each coflow's per-link rates for
+      // its progress.
+      const bool sample =
+          dt > 0.0 &&
           (options.record_intervals || options.record_progress_timeseries ||
-           options.auditor != nullptr)) {
-        double min_p = kInfinity;
-        double max_p = 0.0;
-        for (const auto& entry : active) {
-          const double p = progress_of(*entry, alloc);
-          min_p = std::min(min_p, p);
-          max_p = std::max(max_p, p);
-          if (options.record_progress_timeseries) {
-            result.progress.push_back(ProgressSample{
-                now, now + dt, entry->coflow.id(), p});
-          }
-          if (options.auditor != nullptr) {
-            // progress_of left this coflow's per-link aggregate in
-            // scratch_link_alloc; its dominant-link share falls out free.
-            double dominant_share = 0.0;
-            if (entry->dom_link >= 0) {
-              const auto dom = static_cast<std::size_t>(entry->dom_link);
-              dominant_share =
-                  scratch_link_alloc[dom] / fabric.capacity(entry->dom_link);
-            }
-            options.auditor->record(now, now + dt, entry->coflow.id(), p,
-                                    dominant_share);
-          }
-        }
-        if (options.record_intervals) {
-          IntervalRecord rec;
-          rec.t0 = now;
-          rec.t1 = now + dt;
-          rec.active_coflows = static_cast<int>(active.size());
-          rec.link_usage_bps = 2.0 * alloc.total_rate();
-          rec.min_progress = std::isfinite(min_p) ? min_p : 0.0;
-          rec.max_progress = max_p;
-          result.intervals.push_back(rec);
-        }
-        if (m_utilization != nullptr) {
-          m_utilization->observe(2.0 * alloc.total_rate() /
-                                 fabric.total_capacity());
-        }
-      }
-
-      // Advance the fluid state, flagging entries with flows at (or below)
-      // the completion epsilon so the retire phase can skip the rest.
+           options.auditor != nullptr);
+      double min_p = kInfinity;
+      double max_p = 0.0;
+      std::size_t k = 0;
       for (std::size_t a = 0; a < active.size(); ++a) {
-        ActiveEntry& entry = *active[a];
+        ActiveEntry& entry = active[a];
+        ActiveCoflow& view = input.coflows[a];
         double delivered_total = 0.0;
-        for (const Flow* f : entry.unfinished) {
-          double& rem = remaining_of(*f);
-          const double r = alloc.rate(f->id);
+        for (const ActiveFlow& f : view.flows) {
+          const double r = rates[k++];
+          if (sample) {
+            touch(static_cast<std::size_t>(f.src), r);
+            touch(static_cast<std::size_t>(f.dst) + machines, r);
+          }
+          double& rem = remaining[static_cast<std::size_t>(f.id)];
           if (r > 0.0) {
             const double delivered = std::min(r * dt, rem);
             rem -= delivered;
@@ -512,8 +481,29 @@ struct DynamicSimulator::Impl {
             entry.finish_pending = true;
           }
         }
-        input.coflows[a].attained_bits += delivered_total;
+        view.attained_bits += delivered_total;
         result.total_bits_delivered += delivered_total;
+        if (sample) {
+          const double p = take_progress(entry, dt);
+          min_p = std::min(min_p, p);
+          max_p = std::max(max_p, p);
+        }
+      }
+      if (sample && (options.record_intervals || m_utilization != nullptr)) {
+        const double usage = 2.0 * alloc.total_rate();
+        if (options.record_intervals) {
+          IntervalRecord rec;
+          rec.t0 = now;
+          rec.t1 = now + dt;
+          rec.active_coflows = static_cast<int>(active.size());
+          rec.link_usage_bps = usage;
+          rec.min_progress = std::isfinite(min_p) ? min_p : 0.0;
+          rec.max_progress = max_p;
+          result.intervals.push_back(rec);
+        }
+        if (m_utilization != nullptr) {
+          m_utilization->observe(usage / fabric.total_capacity());
+        }
       }
       now += dt;
       ++result.num_events;
@@ -521,62 +511,37 @@ struct DynamicSimulator::Impl {
       // Retire finished flows and coflows; completions may submit more
       // coflows through the callback.
       for (std::size_t a = 0; a < active.size();) {
-        ActiveEntry& entry = *active[a];
+        ActiveEntry& entry = active[a];
         if (!entry.finish_pending) {
           ++a;
           continue;
         }
         entry.finish_pending = false;
-        // One pass: fire finish hooks and compact `unfinished` in place.
-        std::size_t kept = 0;
-        for (std::size_t i = 0; i < entry.unfinished.size(); ++i) {
-          const Flow* f = entry.unfinished[i];
-          if (remaining_of(*f) <= options.completion_epsilon_bits) {
-            entry.finished.push_back(f);
-            entry.dirty = true;
-            const auto idx = static_cast<std::size_t>(f->id);
-            finish_at[idx] = kInfinity;
-            last_rate[idx] = 0.0;
-            --unfinished_flows;
-            if (deliver_events) {
-              scheduler.on_flow_finish(
-                  ActiveFlow{f->id, f->coflow, f->src, f->dst});
-            }
-            NCDRF_TRACE_INSTANT(options.tracer, obs::EventKind::kFlowFinish,
-                                now, f->id, f->coflow);
-            if (m_flow_finishes != nullptr) m_flow_finishes->inc();
-          } else {
-            entry.unfinished[kept++] = f;
-          }
-        }
-        entry.unfinished.resize(kept);
-        if (entry.unfinished.empty()) {
-          const CoflowId id = entry.coflow.id();
-          if (deliver_events) scheduler.on_coflow_departure(id);
-          const auto rec_it = record_index.find(id);
-          NCDRF_CHECK(rec_it != record_index.end(),
-                      "missing record for coflow");
-          CoflowRecord& rec = result.coflows[rec_it->second];
-          rec.completion = now;
-          rec.cct = now - rec.arrival;
-          const CoflowRecord completed = rec;
-          NCDRF_TRACE_INSTANT(options.tracer,
-                              obs::EventKind::kCoflowFinish, now, id, 0,
-                              rec.cct);
-          if (m_coflow_finishes != nullptr) m_coflow_finishes->inc();
-          if (options.auditor != nullptr) {
-            options.auditor->on_complete(id, rec.arrival, now);
-          }
-          if (a + 1 != active.size()) {
-            active[a] = std::move(active.back());
-            input.coflows[a] = std::move(input.coflows.back());
-          }
-          active.pop_back();
-          input.coflows.pop_back();
-          if (on_complete) on_complete(completed);
-        } else {
+        if (!retire_flows(a)) {
           ++a;
+          continue;
         }
+        const CoflowId id = entry.coflow.id();
+        if (deliver_events) scheduler.on_coflow_departure(id);
+        const auto rec_it = record_index.find(id);
+        NCDRF_CHECK(rec_it != record_index.end(), "missing record for coflow");
+        CoflowRecord& rec = result.coflows[rec_it->second];
+        rec.completion = now;
+        rec.cct = now - rec.arrival;
+        const CoflowRecord completed = rec;
+        NCDRF_TRACE_INSTANT(options.tracer, obs::EventKind::kCoflowFinish,
+                            now, id, 0, rec.cct);
+        if (m_coflow_finishes != nullptr) m_coflow_finishes->inc();
+        if (options.auditor != nullptr) {
+          options.auditor->on_complete(id, rec.arrival, now);
+        }
+        if (a + 1 != active.size()) {
+          active[a] = std::move(active.back());
+          input.coflows[a] = std::move(input.coflows.back());
+        }
+        active.pop_back();
+        input.coflows.pop_back();
+        if (on_complete) on_complete(completed);
       }
 
       admit_due();

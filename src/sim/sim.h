@@ -46,9 +46,10 @@ struct SimOptions {
   double completion_epsilon_bits = 1.0;
 
   // Record per-interval utilization/disparity samples (Figs. 5a, 5b).
-  // Costs O(live flows + FlowId range/64) per event: progress visits the
-  // links each coflow's live flows touch, and the rate sum walks the
-  // allocation's presence bitmap. Disable for CCT-only runs.
+  // Costs O(live flows + FlowId range/64) per event: the advance pass adds
+  // each live flow's rate to its coflow's sums on its two links, each
+  // coflow's progress reads the links its live flows touch, and the rate
+  // sum walks the allocation's presence bitmap. Disable for CCT-only runs.
   bool record_intervals = true;
 
   // Record per-coflow progress time series (Fig. 8). Meant for small
@@ -58,9 +59,10 @@ struct SimOptions {
   // Re-validate every allocation against link capacities (tests/debug).
   bool validate_allocations = false;
 
-  // Cross-check the engine's incrementally maintained ScheduleInput views
-  // against a from-scratch rebuild before every allocate (tests/debug;
-  // O(active flows) per event).
+  // Check every ScheduleInput view against its coflow before every
+  // allocate: the live and finished flows partition the coflow's flows,
+  // the live ones in flow order, and each finished one is within the
+  // completion epsilon of done (tests/debug; O(F log F) per event).
   bool verify_snapshot = false;
 
   // Hard safety limits; exceeding either throws (misbehaving scheduler).
@@ -79,7 +81,7 @@ struct SimOptions {
   obs::MetricsRegistry* metrics = nullptr;
   // Live Theorem 1 fairness audit: the engine feeds it every submission,
   // per-interval progress + dominant-link share, and every completion.
-  // Implies the per-interval progress scan even when record_intervals and
+  // Implies the per-interval progress sums even when record_intervals and
   // record_progress_timeseries are off. Callers finalize()/export after
   // the run.
   obs::FairnessAuditor* auditor = nullptr;

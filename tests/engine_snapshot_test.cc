@@ -1,9 +1,11 @@
 // Tests for the simulator engine's incrementally maintained ScheduleInput
 // snapshot (sim/engine.cc): the per-coflow views it hands to allocate()
-// must stay equivalent to a from-scratch rebuild through randomized
-// arrival / flow-finish / departure churn, and the O(1) departure-record
-// lookup must hold up when many coflows come and go. Mirrors the
-// randomized-oracle style of ncdrf_incremental_test.cc one layer up.
+// are the engine's own live and finished flow lists, compacted in place
+// as flows finish, and must stay consistent with their coflows through
+// randomized arrival / flow-finish / departure churn; the O(1)
+// departure-record lookup must hold up when many coflows come and go.
+// Mirrors the randomized-oracle style of ncdrf_incremental_test.cc one
+// layer up.
 #include <random>
 #include <string>
 #include <vector>
@@ -32,10 +34,11 @@ Trace random_churn_trace(unsigned long long seed, int num_coflows,
   return generate_synthetic_fb(options);
 }
 
-// verify_snapshot makes the engine cross-check its incremental views
-// (active coflows, unfinished/finished flow lists, attained bits) against
-// a from-scratch rebuild before every allocate() and throw CheckError on
-// any divergence — so "the run completes" IS the equivalence assertion.
+// verify_snapshot makes the engine check every view against its coflow
+// before every allocate(): the live and finished flow lists partition the
+// coflow's flows (live ones in flow order, finished ones within the
+// completion epsilon) and attained bits stay finite. Any divergence
+// throws CheckError, so "the run completes" IS the equivalence assertion.
 TEST(EngineSnapshot, IncrementalViewsMatchRebuildUnderRandomChurn) {
   SimOptions options;
   options.verify_snapshot = true;

@@ -573,6 +573,111 @@ TEST(EventFedMaster, QuarantineCountsOnlyUnfinishedFlowsOfTheDeadMachine) {
   }
 }
 
+// A registration the master rejects changes nothing. Each bad message
+// below throws CheckError; the master then allocates over coflow 0 alone,
+// accepts a valid coflow that reuses the rejected message's fresh flow
+// id, and retires coflow 0 on its finish reports.
+TEST(EventFedMaster, RejectedRegistrationChangesNothing) {
+  const Fabric fabric(4, gbps(1.0));
+  struct Bad {
+    const char* what;
+    std::vector<Flow> flows;
+    double weight = 1.0;
+  };
+  const std::vector<Bad> bad = {
+      {"dst outside the fabric", {Flow{5, 1, 0, 1, 0.0}, Flow{6, 1, 2, 4, 0.0}}},
+      {"src outside the fabric", {Flow{5, 1, -1, 1, 0.0}}},
+      {"live non-first flow id", {Flow{5, 1, 0, 1, 0.0}, Flow{1, 1, 2, 3, 0.0}}},
+      {"flow id repeated", {Flow{5, 1, 0, 1, 0.0}, Flow{5, 1, 2, 3, 0.0}}},
+      {"another coflow's flow", {Flow{5, 1, 0, 1, 0.0}, Flow{6, 0, 2, 3, 0.0}}},
+      {"zero weight", {Flow{5, 1, 0, 1, 0.0}}, 0.0},
+  };
+  for (const auto& [what, flows, weight] : bad) {
+    SCOPED_TRACE(what);
+    NcDrfScheduler ncdrf;
+    Master master(fabric, ncdrf);
+    RegisterCoflowMsg first;
+    first.coflow = 0;
+    first.flows = {Flow{0, 0, 0, 1, 0.0}, Flow{1, 0, 1, 2, 0.0}};
+    ASSERT_TRUE(master.on_register(first));
+    Allocation alloc;
+    std::vector<SlaveRates> per_slave;
+    master.compute_allocation(0.0, alloc, per_slave);
+
+    RegisterCoflowMsg rejected;
+    rejected.coflow = 1;
+    rejected.weight = weight;
+    rejected.flows = flows;
+    EXPECT_THROW(master.on_register(rejected), CheckError);
+    EXPECT_EQ(master.active_coflows(), 1);
+    const ScheduleInput& view = master.compute_allocation(1.0, alloc, per_slave);
+    ASSERT_EQ(view.coflows.size(), 1u);
+    EXPECT_EQ(view.total_live_flows, 2);
+
+    RegisterCoflowMsg valid;
+    valid.coflow = 1;
+    valid.flows = {Flow{5, 1, 2, 3, 0.0}};
+    ASSERT_TRUE(master.on_register(valid));
+    EXPECT_EQ(master.compute_allocation(2.0, alloc, per_slave).coflows.size(),
+              2u);
+    master.on_flows_finished(
+        {FlowFinishedMsg{0, 0, 3.0}, FlowFinishedMsg{1, 0, 3.0}});
+    EXPECT_EQ(master.active_coflows(), 1);
+    const ScheduleInput& after =
+        master.compute_allocation(3.0, alloc, per_slave);
+    ASSERT_EQ(after.coflows.size(), 1u);
+    EXPECT_EQ(after.coflows[0].id, 1);
+    EXPECT_EQ(alloc.rate(5), gbps(1.0));
+  }
+}
+
+// The same through a serving front-end: the epoch that drains a rejected
+// registration throws; the next epoch admits a valid coflow that reuses
+// the rejected one's fresh flow id and allocates; and the earlier coflow's
+// departure retires it.
+TEST(EventFedMaster, ServeFrontSurvivesRejectedRegistration) {
+  const Fabric fabric(4, gbps(1.0));
+  const std::vector<std::pair<const char*, Flow>> bad = {
+      {"dst outside the fabric", Flow{2, 1, 0, 4, 1e9}},
+      {"live non-first flow id", Flow{0, 1, 2, 3, 1e9}},
+  };
+  for (const auto& [what, bad_flow] : bad) {
+    SCOPED_TRACE(what);
+    const auto sched = make_scheduler("ncdrf");
+    serve::ServeOptions options;
+    options.epoch_s = 1e-3;
+    serve::ServeFront front(fabric, *sched, 1, options);
+    serve::Submission first;
+    first.coflow = 0;
+    first.lifetime_s = 2.5e-3;
+    first.flows = {Flow{0, 0, 0, 1, 1e9}, Flow{1, 0, 1, 2, 1e9}};
+    ASSERT_TRUE(front.queue(0).try_enqueue(first));
+    front.step_epoch(0.0);
+    ASSERT_EQ(front.master().active_coflows(), 1);
+
+    serve::Submission rejected;
+    rejected.coflow = 1;
+    rejected.submit_time = 1e-3;
+    rejected.lifetime_s = 5e-3;
+    rejected.flows = {Flow{3, 1, 3, 0, 1e9}, bad_flow};
+    ASSERT_TRUE(front.queue(0).try_enqueue(rejected));
+    EXPECT_THROW(front.step_epoch(1e-3), CheckError);
+
+    serve::Submission valid = rejected;
+    valid.coflow = 2;
+    valid.submit_time = 2e-3;
+    valid.flows = {Flow{3, 2, 3, 0, 1e9}};
+    ASSERT_TRUE(front.queue(0).try_enqueue(valid));
+    const long long allocations = front.allocations();
+    front.step_epoch(2e-3);
+    EXPECT_EQ(front.allocations(), allocations + 1);
+    EXPECT_EQ(front.master().registrations_ignored(), 0);
+    EXPECT_EQ(front.master().active_coflows(), 2);
+    front.step_epoch(3e-3);  // past coflow 0's dwell
+    EXPECT_EQ(front.master().active_coflows(), 1);
+  }
+}
+
 // Epochs through a serving front-end allocate from hook-maintained state
 // only: no kernel-backed policy ever rebuilds from a snapshot.
 TEST(EventFedMaster, ServeFrontNeverRebuildsKernelPolicies) {

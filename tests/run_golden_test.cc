@@ -200,5 +200,140 @@ TEST(RunGolden, PausedRunsMatchPinnedDigest) {
   }
 }
 
+// 24 shuffle coflows of 50-400 flows (~2.8k in all) on 16 machines,
+// arrivals over 8 s: makespans of 8.6-12 s with ~5 coflows active on
+// average. Each coflow's flows are listed mapper-major (every reducer of
+// mapper 0, then of mapper 1, ...), with mapper and reducer tasks placed
+// on random machines, so a coflow's live flows spread over many links and
+// finish out of list order. golden_trace()'s 1-12-flow coflows barely
+// exercise the engine's per-coflow compaction or its rescale pass over
+// wide coflows; this trace does. Like golden_trace(), it draws no libm,
+// and it takes one draw per statement, so no argument evaluation order
+// enters the trace.
+Trace wide_golden_trace() {
+  constexpr int kMachines = 16;
+  Rng rng(20180703);
+  TraceBuilder builder(kMachines);
+  for (int c = 0; c < 24; ++c) {
+    const double arrival = rng.uniform(0.0, 8.0);
+    const double weight = rng.uniform(0.5, 2.0);
+    const auto tenant = static_cast<int>(rng.uniform_int(0, 3));
+    builder.begin_coflow(arrival, weight, tenant);
+    // Half the coflows have 5 mappers, the rest 5-20.
+    const bool many_mappers = rng.uniform_int(0, 1) == 1;
+    const std::int64_t extra_mappers = rng.uniform_int(0, 15);
+    std::vector<MachineId> mappers(
+        static_cast<std::size_t>(5 + (many_mappers ? extra_mappers : 0)));
+    std::vector<MachineId> reducers(
+        static_cast<std::size_t>(rng.uniform_int(10, 20)));
+    for (MachineId& m : mappers) {
+      m = static_cast<MachineId>(rng.uniform_int(0, kMachines - 1));
+    }
+    for (MachineId& r : reducers) {
+      r = static_cast<MachineId>(rng.uniform_int(0, kMachines - 1));
+    }
+    for (const MachineId m : mappers) {
+      for (const MachineId r : reducers) {
+        builder.add_flow(m, r, rng.uniform(megabits(0.5), megabits(40.0)));
+      }
+    }
+  }
+  return builder.build();
+}
+
+// Pinned digests of the wide trace, keyed like golden_digests().
+const std::map<std::string, std::uint64_t>& wide_golden_digests() {
+  static const std::map<std::string, std::uint64_t> digests = {
+      {"tcp", 0x12377aaaa66dc783ull},
+      {"persource", 0x2f41bd0a2295482eull},
+      {"perpair", 0x99144c22f0c13b8full},
+      {"psp", 0x3f4171a2c51808fdull},
+      {"psp-live", 0x8e6a24648e0da2f4ull},
+      {"ncdrf", 0xcf7dc54789335176ull},
+      {"ncdrf-live", 0x7c71c772c2f93f61ull},
+      {"drf", 0xa67b0bbe9dab6f2eull},
+      {"hug", 0xa905f42dbad26b50ull},
+      {"aalo", 0x5c14a56215d82769ull},
+      {"varys", 0xfc54132b53aa71d4ull},
+      {"baraat", 0x428bf050c392e809ull},
+      {"fifo", 0xfdb66612edc649c3ull},
+      {"karma", 0x58fdf58ac2593c88ull},
+      {"ncdrf (no hooks)", 0xff020f749e49e16bull},
+  };
+  return digests;
+}
+
+// Runs `scheduler` over `trace` in one run(), or, when `paused`, the way
+// PausedRunsMatchPinnedDigest does: pausing at every arrival and at 100
+// seeded instants, each coflow submitted at the last pause before it
+// arrives.
+RunResult run_wide(const Fabric& fabric, const Trace& trace,
+                   Scheduler& scheduler, bool paused) {
+  SimOptions options;
+  options.record_intervals = true;
+  options.record_progress_timeseries = true;
+  if (!paused) return simulate(fabric, trace, scheduler, options);
+  std::vector<double> pauses;
+  for (const Coflow& coflow : trace.coflows) {
+    pauses.push_back(coflow.arrival_time());
+  }
+  Rng rng(17);
+  for (int i = 0; i < 100; ++i) pauses.push_back(rng.uniform(0.0, 16.0));
+  std::sort(pauses.begin(), pauses.end());
+  DynamicSimulator sim(fabric, scheduler, options);
+  std::size_t next = 0;
+  for (const double pause : pauses) {
+    while (next < trace.coflows.size() &&
+           trace.coflows[next].arrival_time() <= pause) {
+      sim.submit(trace.coflows[next++]);
+    }
+    sim.run_until(pause);
+  }
+  sim.run();
+  return sim.take_result();
+}
+
+void expect_wide_digests(bool paused) {
+  const Fabric fabric(16, gbps(1.0));
+  const Trace trace = wide_golden_trace();
+  for (const Coflow& coflow : trace.coflows) {
+    ASSERT_GE(coflow.width(), 50);
+    ASSERT_LE(coflow.width(), 400);
+  }
+  std::vector<std::string> names = scheduler_names();
+  names.push_back("ncdrf (no hooks)");
+  std::string repin;
+  for (const std::string& name : names) {
+    SCOPED_TRACE(name);
+    const bool hookless = name == "ncdrf (no hooks)";
+    const auto inner = make_scheduler(hookless ? "ncdrf" : name);
+    testing::HooklessScheduler wrapper(*inner);
+    const RunResult run =
+        run_wide(fabric, trace, hookless ? wrapper : *inner, paused);
+    ASSERT_FALSE(run.intervals.empty());
+    const std::uint64_t digest = run_digest(run);
+    char line[96];
+    std::snprintf(line, sizeof line, "      {\"%s\", 0x%016llxull},\n",
+                  name.c_str(), static_cast<unsigned long long>(digest));
+    repin += line;
+    const auto it = wide_golden_digests().find(name);
+    if (it == wide_golden_digests().end()) {
+      ADD_FAILURE() << "no pinned wide digest for policy " << name;
+    } else {
+      EXPECT_EQ(it->second, digest) << name << " drifted from its pin";
+    }
+  }
+  if (::testing::Test::HasFailure()) {
+    ADD_FAILURE() << "wide digests of this build:\n" << repin;
+  }
+}
+
+TEST(RunGolden, WideCoflowsMatchPinnedDigest) { expect_wide_digests(false); }
+
+// The engine keeps each event's rates between a run_until() pause and
+// the resumed advance; a paused replay of the wide trace must hit the
+// same pins as the unpaused one.
+TEST(RunGolden, PausedWideRunsMatchPinnedDigest) { expect_wide_digests(true); }
+
 }  // namespace
 }  // namespace ncdrf
