@@ -1,13 +1,13 @@
 #include "obs/flight.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
 #include <utility>
 
 #include "common/check.h"
+#include "common/json.h"
 #include "obs/exporter.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
@@ -15,33 +15,6 @@
 #include "sim/audit.h"
 
 namespace ncdrf::obs {
-namespace {
-
-// Minimal JSON string escaping for trigger details (our own strings never
-// need \u escapes beyond control characters).
-std::string escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 FlightRecorder::FlightRecorder(FlightOptions options)
     : options_(std::move(options)) {
@@ -169,12 +142,16 @@ bool FlightRecorder::fire(double now, const std::string& kind,
 std::string FlightRecorder::build_bundle(double now, const std::string& kind,
                                          const std::string& detail,
                                          double value) {
+  std::string kind_json;
+  std::string detail_json;
+  append_json_string(kind_json, kind);
+  append_json_string(detail_json, detail);
   std::ostringstream out;
   out << std::setprecision(15);
   out << "{\"bundle\":\"ncdrf.flight\",\"seq\":" << seq_
-      << ",\"trigger\":{\"kind\":\"" << escape(kind) << "\",\"time\":" << now
-      << ",\"value\":" << value << ",\"detail\":\"" << escape(detail)
-      << "\"},\"config\":" << config_json_ << ",\"metrics\":";
+      << ",\"trigger\":{\"kind\":" << kind_json << ",\"time\":" << now
+      << ",\"value\":" << value << ",\"detail\":" << detail_json
+      << "},\"config\":" << config_json_ << ",\"metrics\":";
   if (metrics_ != nullptr) {
     std::ostringstream metrics;
     metrics_->write_json(metrics);

@@ -1,357 +1,125 @@
 #include "obs/json_lint.h"
 
-#include <cctype>
-#include <cmath>
-#include <cstdlib>
+#include <initializer_list>
 #include <limits>
-#include <map>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
-#include <variant>
 #include <vector>
+
+#include "common/json.h"
 
 namespace ncdrf::obs {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Minimal JSON DOM + recursive-descent parser. Enough of RFC 8259 for the
-// artifacts this layer emits (no \u surrogate pairs decoded — they are
-// validated and kept escaped; our exporters never produce them).
-// ---------------------------------------------------------------------------
+// Schema checks over the common/json DOM; each returns "" or an error.
 
-struct JsonValue;
-using JsonArray = std::vector<JsonValue>;
-using JsonObject = std::map<std::string, JsonValue>;
+constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
-struct JsonValue {
-  std::variant<std::nullptr_t, bool, double, std::string,
-               std::shared_ptr<JsonArray>, std::shared_ptr<JsonObject>>
-      v = nullptr;
-
-  bool is_number() const { return std::holds_alternative<double>(v); }
-  bool is_string() const { return std::holds_alternative<std::string>(v); }
-  bool is_array() const {
-    return std::holds_alternative<std::shared_ptr<JsonArray>>(v);
-  }
-  bool is_object() const {
-    return std::holds_alternative<std::shared_ptr<JsonObject>>(v);
-  }
-  double number() const { return std::get<double>(v); }
-  const std::string& string() const { return std::get<std::string>(v); }
-  const JsonArray& array() const {
-    return *std::get<std::shared_ptr<JsonArray>>(v);
-  }
-  const JsonObject& object() const {
-    return *std::get<std::shared_ptr<JsonObject>>(v);
-  }
-};
-
-class Parser {
- public:
-  explicit Parser(const std::string& text) : text_(text) {}
-
-  // Parses one complete document; error() is non-empty on failure.
-  JsonValue parse() {
-    JsonValue value = parse_value();
-    skip_ws();
-    if (error_.empty() && pos_ != text_.size()) {
-      fail("trailing characters after JSON value");
-    }
-    return value;
-  }
-
-  const std::string& error() const { return error_; }
-
- private:
-  void fail(const std::string& what) {
-    if (error_.empty()) {
-      std::ostringstream out;
-      out << what << " at offset " << pos_;
-      error_ = out.str();
-    }
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool literal(const char* word) {
-    const std::size_t n = std::string(word).size();
-    if (text_.compare(pos_, n, word) == 0) {
-      pos_ += n;
-      return true;
-    }
-    return false;
-  }
-
-  JsonValue parse_value() {
-    skip_ws();
-    if (pos_ >= text_.size()) {
-      fail("unexpected end of input");
-      return {};
-    }
-    const char c = text_[pos_];
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
-    if (c == '"') return JsonValue{parse_string()};
-    if (c == 't') {
-      if (literal("true")) return JsonValue{true};
-      fail("invalid literal");
-      return {};
-    }
-    if (c == 'f') {
-      if (literal("false")) return JsonValue{false};
-      fail("invalid literal");
-      return {};
-    }
-    if (c == 'n') {
-      if (literal("null")) return JsonValue{nullptr};
-      fail("invalid literal");
-      return {};
-    }
-    if (c == '-' || (c >= '0' && c <= '9')) return parse_number();
-    fail("unexpected character");
-    return {};
-  }
-
-  std::string parse_string() {
-    std::string out;
-    if (!consume('"')) {
-      fail("expected string");
-      return out;
-    }
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        fail("unescaped control character in string");
-        return out;
-      }
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          for (int i = 0; i < 4; ++i) {
-            if (pos_ >= text_.size() ||
-                !std::isxdigit(static_cast<unsigned char>(text_[pos_]))) {
-              fail("invalid \\u escape");
-              return out;
-            }
-            ++pos_;
-          }
-          out.push_back('?');  // kept escaped; content is irrelevant here
-          break;
-        }
-        default:
-          fail("invalid escape character");
-          return out;
-      }
-    }
-    fail("unterminated string");
-    return out;
-  }
-
-  JsonValue parse_number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    if (pos_ >= text_.size() ||
-        !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      fail("invalid number");
-      return {};
-    }
-    // Leading zeros are invalid JSON ("01"), a single zero is fine.
-    if (text_[pos_] == '0') {
-      ++pos_;
-    } else {
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      if (pos_ >= text_.size() ||
-          !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        fail("invalid number");
-        return {};
-      }
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      if (pos_ >= text_.size() ||
-          !std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        fail("invalid number");
-        return {};
-      }
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    const double value = std::strtod(text_.c_str() + start, nullptr);
-    if (!std::isfinite(value)) {
-      fail("number out of range");
-      return {};
-    }
-    return JsonValue{value};
-  }
-
-  JsonValue parse_array() {
-    consume('[');
-    auto array = std::make_shared<JsonArray>();
-    skip_ws();
-    if (consume(']')) return JsonValue{array};
-    while (error_.empty()) {
-      array->push_back(parse_value());
-      if (!error_.empty()) break;
-      if (consume(']')) return JsonValue{array};
-      if (!consume(',')) {
-        fail("expected ',' or ']' in array");
-        break;
-      }
-    }
-    return {};
-  }
-
-  JsonValue parse_object() {
-    consume('{');
-    auto object = std::make_shared<JsonObject>();
-    skip_ws();
-    if (consume('}')) return JsonValue{object};
-    while (error_.empty()) {
-      skip_ws();
-      std::string key = parse_string();
-      if (!error_.empty()) break;
-      if (!consume(':')) {
-        fail("expected ':' in object");
-        break;
-      }
-      (*object)[std::move(key)] = parse_value();
-      if (!error_.empty()) break;
-      if (consume('}')) return JsonValue{object};
-      if (!consume(',')) {
-        fail("expected ',' or '}' in object");
-        break;
-      }
-    }
-    return {};
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  std::string error_;
-};
-
-// ---------------------------------------------------------------------------
-// Schema checks.
-// ---------------------------------------------------------------------------
-
-const JsonValue* find(const JsonObject& object, const std::string& key) {
-  const auto it = object.find(key);
-  return it == object.end() ? nullptr : &it->second;
+std::string parse_object(const std::string& text, JsonValue& root) {
+  if (std::string err = parse_json(text, &root); !err.empty()) return err;
+  return root.is_object() ? "" : "top level is not an object";
 }
 
-std::string require_number(const JsonObject& object, const std::string& key,
-                          const std::string& where) {
-  const JsonValue* value = find(object, key);
-  if (value == nullptr) return where + ": missing \"" + key + '"';
-  if (!value->is_number()) return where + ": \"" + key + "\" not a number";
+std::string require_numbers(const JsonValue& object,
+                            std::initializer_list<const char*> keys,
+                            const std::string& where) {
+  for (const char* key : keys) {
+    const JsonValue* value = object.find(key);
+    if (value == nullptr) return where + ": missing \"" + key + '"';
+    if (!value->is_number()) return where + ": \"" + key + "\" not a number";
+  }
   return "";
 }
 
-std::string check_trace_event(const JsonObject& event, std::size_t index,
-                              std::vector<std::string>& open_spans) {
-  std::ostringstream where_s;
-  where_s << "traceEvents[" << index << ']';
-  const std::string where = where_s.str();
+// The counters/gauges/histograms sections of both registry schemas.
+std::string require_sections(const JsonValue& object,
+                             const std::string& prefix) {
+  for (const char* section : {"counters", "gauges", "histograms"}) {
+    const JsonValue* value = object.find(section);
+    if (value == nullptr || !value->is_object()) {
+      return prefix + "missing \"" + section + "\" object";
+    }
+  }
+  return "";
+}
 
-  const JsonValue* name = find(event, "name");
+// A histogram entry: every key in `keys` a number, p50 <= p95 <= p99.
+std::string check_histogram(const JsonValue& entry,
+                            std::initializer_list<const char*> keys,
+                            const std::string& where) {
+  if (!entry.is_object()) return where + ": not an object";
+  if (std::string err = require_numbers(entry, keys, where); !err.empty()) {
+    return err;
+  }
+  const double p50 = entry.find("p50")->number;
+  const double p95 = entry.find("p95")->number;
+  const double p99 = entry.find("p99")->number;
+  if (!(p50 <= p95 && p95 <= p99)) {
+    return where + ": quantiles not ordered (p50 <= p95 <= p99)";
+  }
+  return "";
+}
+
+// What every trace event promises, a flight bundle's trace slice included:
+// a slice may cut a span in half, so B/E balance is not checked here.
+std::string check_event_fields(const JsonValue& event,
+                               const std::string& where) {
+  if (!event.is_object()) return where + ": not an object";
+  const JsonValue* name = event.find("name");
   if (name == nullptr || !name->is_string()) {
     return where + ": missing string \"name\"";
   }
-  const JsonValue* cat = find(event, "cat");
+  const JsonValue* ph = event.find("ph");
+  if (ph == nullptr || !ph->is_string() || ph->text.size() != 1) {
+    return where + ": missing one-character \"ph\"";
+  }
+  return require_numbers(event, {"ts", "pid", "tid"}, where);
+}
+
+// A full Chrome trace event: the fields above plus a category, an args
+// object, a known phase, and B/E spans that nest like parentheses.
+std::string check_trace_event(const JsonValue& event, const std::string& where,
+                              std::vector<std::string>& open_spans) {
+  if (std::string err = check_event_fields(event, where); !err.empty()) {
+    return err;
+  }
+  const JsonValue* cat = event.find("cat");
   if (cat == nullptr || !cat->is_string()) {
     return where + ": missing string \"cat\"";
   }
-  const JsonValue* ph = find(event, "ph");
-  if (ph == nullptr || !ph->is_string() || ph->string().size() != 1) {
-    return where + ": missing one-character \"ph\"";
-  }
-  for (const char* key : {"ts", "pid", "tid"}) {
-    if (std::string err = require_number(event, key, where); !err.empty()) {
-      return err;
-    }
-  }
-  const JsonValue* args = find(event, "args");
+  const JsonValue* args = event.find("args");
   if (args != nullptr && !args->is_object()) {
     return where + ": \"args\" not an object";
   }
-
-  const char phase = ph->string()[0];
+  const std::string& name = event.find("name")->text;
+  const char phase = event.find("ph")->text[0];
   switch (phase) {
     case 'B':
-      open_spans.push_back(name->string());
+      open_spans.push_back(name);
       return "";
     case 'E':
       if (open_spans.empty()) {
         return where + ": 'E' with no open 'B' span";
       }
-      if (open_spans.back() != name->string()) {
-        return where + ": 'E' for \"" + name->string() +
+      if (open_spans.back() != name) {
+        return where + ": 'E' for \"" + name +
                "\" but innermost open span is \"" + open_spans.back() + '"';
       }
       open_spans.pop_back();
       return "";
     case 'i': {
-      const JsonValue* scope = find(event, "s");
+      const JsonValue* scope = event.find("s");
       if (scope != nullptr && !scope->is_string()) {
         return where + ": instant scope \"s\" not a string";
       }
       return "";
     }
     case 'b':
-    case 'e': {
-      if (std::string err = require_number(event, "id", where); !err.empty()) {
-        return err;
-      }
-      return "";
-    }
+    case 'e':
+      return require_numbers(event, {"id"}, where);
     case 'X':
-      return require_number(event, "dur", where);
+      return require_numbers(event, {"dur"}, where);
     case 'M':
     case 'C':
       return "";
@@ -360,65 +128,23 @@ std::string check_trace_event(const JsonObject& event, std::size_t index,
   }
 }
 
-// The per-event field checks of check_trace_event without the span
-// bookkeeping — what a flight bundle's trace *slice* can promise (a slice
-// may cut a span in half, so B/E balance is not required there).
-std::string check_event_fields(const JsonObject& event,
-                               const std::string& where) {
-  const JsonValue* name = find(event, "name");
-  if (name == nullptr || !name->is_string()) {
-    return where + ": missing string \"name\"";
-  }
-  const JsonValue* ph = find(event, "ph");
-  if (ph == nullptr || !ph->is_string() || ph->string().size() != 1) {
-    return where + ": missing one-character \"ph\"";
-  }
-  for (const char* key : {"ts", "pid", "tid"}) {
-    if (std::string err = require_number(event, key, where); !err.empty()) {
-      return err;
-    }
-  }
-  return "";
-}
-
-std::string check_histogram_entry(const std::string& name,
-                                  const JsonValue& value) {
-  const std::string where = "histograms." + name;
-  if (!value.is_object()) return where + ": not an object";
-  const JsonObject& entry = value.object();
-  for (const char* key :
-       {"count", "sum", "min", "max", "mean", "p50", "p95", "p99"}) {
-    if (std::string err = require_number(entry, key, where); !err.empty()) {
-      return err;
-    }
-  }
-  const double p50 = find(entry, "p50")->number();
-  const double p95 = find(entry, "p95")->number();
-  const double p99 = find(entry, "p99")->number();
-  if (!(p50 <= p95 && p95 <= p99)) {
-    return where + ": quantiles not ordered (p50 <= p95 <= p99)";
-  }
-  return "";
-}
-
 // MetricsRegistry::write_json schema over an already-parsed object —
 // shared between validate_metrics_json and the flight bundle's embedded
 // "metrics" section.
-std::string check_metrics_object(const JsonObject& top) {
-  for (const char* section : {"counters", "gauges", "histograms"}) {
-    const JsonValue* value = find(top, section);
-    if (value == nullptr || !value->is_object()) {
-      return std::string("missing \"") + section + "\" object";
+std::string check_metrics_object(const JsonValue& top) {
+  if (std::string err = require_sections(top, ""); !err.empty()) return err;
+  for (const char* section : {"counters", "gauges"}) {
+    for (const auto& [name, value] : top.find(section)->members) {
+      if (!value.is_number()) {
+        return std::string(section) + '.' + name + ": not a number";
+      }
     }
   }
-  for (const auto& [name, value] : find(top, "counters")->object()) {
-    if (!value.is_number()) return "counters." + name + ": not a number";
-  }
-  for (const auto& [name, value] : find(top, "gauges")->object()) {
-    if (!value.is_number()) return "gauges." + name + ": not a number";
-  }
-  for (const auto& [name, value] : find(top, "histograms")->object()) {
-    if (std::string err = check_histogram_entry(name, value); !err.empty()) {
+  for (const auto& [name, value] : top.find("histograms")->members) {
+    if (std::string err = check_histogram(
+            value, {"count", "sum", "min", "max", "mean", "p50", "p95", "p99"},
+            "histograms." + name);
+        !err.empty()) {
       return err;
     }
   }
@@ -429,62 +155,71 @@ std::string check_metrics_object(const JsonObject& top) {
 // flight bundle "timeseries" element), plus the stream-ordering contract:
 // strictly increasing windows, t1 > t0, gap-free spans. `prev_window` /
 // `prev_t1` carry the contract across snapshots (start at -inf).
-std::string check_snapshot_object(const JsonObject& snap,
+std::string check_snapshot_object(const JsonValue& snap,
                                   const std::string& where,
                                   double& prev_window, double& prev_t1) {
-  for (const char* key : {"window", "t0", "t1"}) {
-    if (std::string err = require_number(snap, key, where); !err.empty()) {
-      return err;
-    }
+  if (!snap.is_object()) return where + ": not an object";
+  if (std::string err = require_numbers(snap, {"window", "t0", "t1"}, where);
+      !err.empty()) {
+    return err;
   }
-  const double window = find(snap, "window")->number();
-  const double t0 = find(snap, "t0")->number();
-  const double t1 = find(snap, "t1")->number();
+  const double window = snap.find("window")->number;
+  const double t0 = snap.find("t0")->number;
+  const double t1 = snap.find("t1")->number;
   if (window <= prev_window) {
     return where + ": window numbers not strictly increasing";
   }
   if (t1 <= t0) return where + ": window span is empty (t1 <= t0)";
-  if (prev_t1 > -std::numeric_limits<double>::infinity() && t0 != prev_t1) {
+  if (prev_t1 > kNegInf && t0 != prev_t1) {
     return where + ": window spans not contiguous (t0 != previous t1)";
   }
   prev_window = window;
   prev_t1 = t1;
-  for (const char* section : {"counters", "gauges", "histograms"}) {
-    const JsonValue* value = find(snap, section);
-    if (value == nullptr || !value->is_object()) {
-      return where + ": missing \"" + section + "\" object";
-    }
+  if (std::string err = require_sections(snap, where + ": "); !err.empty()) {
+    return err;
   }
-  for (const auto& [name, value] : find(snap, "counters")->object()) {
+  for (const auto& [name, value] : snap.find("counters")->members) {
     const std::string cwhere = where + ".counters." + name;
     if (!value.is_object()) return cwhere + ": not an object";
-    for (const char* key : {"total", "delta", "rate_per_s"}) {
-      if (std::string err = require_number(value.object(), key, cwhere);
-          !err.empty()) {
-        return err;
-      }
+    if (std::string err =
+            require_numbers(value, {"total", "delta", "rate_per_s"}, cwhere);
+        !err.empty()) {
+      return err;
     }
   }
-  for (const auto& [name, value] : find(snap, "gauges")->object()) {
+  for (const auto& [name, value] : snap.find("gauges")->members) {
     if (!value.is_number()) {
       return where + ".gauges." + name + ": not a number";
     }
   }
-  for (const auto& [name, value] : find(snap, "histograms")->object()) {
-    const std::string hwhere = where + ".histograms." + name;
-    if (!value.is_object()) return hwhere + ": not an object";
-    for (const char* key : {"count", "sum", "p50", "p95", "p99"}) {
-      if (std::string err = require_number(value.object(), key, hwhere);
-          !err.empty()) {
-        return err;
-      }
+  for (const auto& [name, value] : snap.find("histograms")->members) {
+    if (std::string err =
+            check_histogram(value, {"count", "sum", "p50", "p95", "p99"},
+                            where + ".histograms." + name);
+        !err.empty()) {
+      return err;
     }
-    const double p50 = find(value.object(), "p50")->number();
-    const double p95 = find(value.object(), "p95")->number();
-    const double p99 = find(value.object(), "p99")->number();
-    if (!(p50 <= p95 && p95 <= p99)) {
-      return hwhere + ": quantiles not ordered (p50 <= p95 <= p99)";
+  }
+  return "";
+}
+
+// Parses each non-empty line of `text` as a JSON object and runs
+// `check(object, where)` on it; `where` names the line.
+template <typename Check>
+std::string check_lines(const std::string& text, Check check) {
+  std::istringstream in(text);
+  std::string line;
+  std::size_t line_no = 0;
+  JsonValue value;
+  while (std::getline(in, line)) {
+    ++line_no;
+    if (line.empty()) continue;
+    const std::string where = "line " + std::to_string(line_no);
+    if (std::string err = parse_json(line, &value); !err.empty()) {
+      return where + ": " + err;
     }
+    if (!value.is_object()) return where + ": not a JSON object";
+    if (std::string err = check(value, where); !err.empty()) return err;
   }
   return "";
 }
@@ -492,44 +227,32 @@ std::string check_snapshot_object(const JsonObject& snap,
 }  // namespace
 
 std::string validate_json(const std::string& text) {
-  Parser parser(text);
-  parser.parse();
-  return parser.error();
+  JsonValue root;
+  return parse_json(text, &root);
 }
 
 std::string validate_chrome_trace_json(const std::string& text) {
-  Parser parser(text);
-  const JsonValue root = parser.parse();
-  if (!parser.error().empty()) return parser.error();
-  if (!root.is_object()) return "top level is not an object";
-  const JsonObject& top = root.object();
-  const JsonValue* events = find(top, "traceEvents");
+  JsonValue top;
+  if (std::string err = parse_object(text, top); !err.empty()) return err;
+  const JsonValue* events = top.find("traceEvents");
   if (events == nullptr || !events->is_array()) {
     return "missing \"traceEvents\" array";
   }
-  if (const JsonValue* dropped = find(top, "droppedEvents");
+  if (const JsonValue* dropped = top.find("droppedEvents");
       dropped != nullptr && !dropped->is_number()) {
     return "\"droppedEvents\" not a number";
   }
   std::vector<std::string> open_spans;
-  double last_ts = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < events->array().size(); ++i) {
-    const JsonValue& event = events->array()[i];
-    if (!event.is_object()) {
-      std::ostringstream out;
-      out << "traceEvents[" << i << "]: not an object";
-      return out.str();
-    }
-    if (std::string err = check_trace_event(event.object(), i, open_spans);
+  double last_ts = kNegInf;
+  for (std::size_t i = 0; i < events->items.size(); ++i) {
+    const JsonValue& event = events->items[i];
+    const std::string where = "traceEvents[" + std::to_string(i) + ']';
+    if (std::string err = check_trace_event(event, where, open_spans);
         !err.empty()) {
       return err;
     }
-    const double ts = find(event.object(), "ts")->number();
-    if (ts < last_ts) {
-      std::ostringstream out;
-      out << "traceEvents[" << i << "]: timestamps not non-decreasing";
-      return out.str();
-    }
+    const double ts = event.find("ts")->number;
+    if (ts < last_ts) return where + ": timestamps not non-decreasing";
     last_ts = ts;
   }
   if (!open_spans.empty()) {
@@ -539,34 +262,15 @@ std::string validate_chrome_trace_json(const std::string& text) {
 }
 
 std::string validate_metrics_json(const std::string& text) {
-  Parser parser(text);
-  const JsonValue root = parser.parse();
-  if (!parser.error().empty()) return parser.error();
-  if (!root.is_object()) return "top level is not an object";
-  return check_metrics_object(root.object());
+  JsonValue top;
+  if (std::string err = parse_object(text, top); !err.empty()) return err;
+  return check_metrics_object(top);
 }
 
 std::string validate_ndjson(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    Parser parser(line);
-    const JsonValue value = parser.parse();
-    if (!parser.error().empty()) {
-      std::ostringstream out;
-      out << "line " << line_no << ": " << parser.error();
-      return out.str();
-    }
-    if (!value.is_object()) {
-      std::ostringstream out;
-      out << "line " << line_no << ": not a JSON object";
-      return out.str();
-    }
-  }
-  return "";
+  return check_lines(text, [](const JsonValue&, const std::string&) {
+    return std::string();
+  });
 }
 
 std::string validate_timeseries_ndjson(const std::string& text) {
@@ -575,116 +279,85 @@ std::string validate_timeseries_ndjson(const std::string& text) {
   if (!text.empty() && text.back() != '\n') {
     return "truncated final line (missing newline)";
   }
-  std::istringstream in(text);
-  std::string line;
-  std::size_t line_no = 0;
-  double prev_window = -std::numeric_limits<double>::infinity();
-  double prev_t1 = -std::numeric_limits<double>::infinity();
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    Parser parser(line);
-    const JsonValue value = parser.parse();
-    std::ostringstream where;
-    where << "line " << line_no;
-    if (!parser.error().empty()) {
-      return where.str() + ": " + parser.error();
-    }
-    if (!value.is_object()) return where.str() + ": not a JSON object";
-    if (std::string err = check_snapshot_object(value.object(), where.str(),
-                                                prev_window, prev_t1);
-        !err.empty()) {
-      return err;
-    }
-  }
-  return "";
+  double prev_window = kNegInf;
+  double prev_t1 = kNegInf;
+  return check_lines(text, [&](const JsonValue& snap, const std::string& where) {
+    return check_snapshot_object(snap, where, prev_window, prev_t1);
+  });
 }
 
 std::string validate_flight_bundle_json(const std::string& text) {
-  Parser parser(text);
-  const JsonValue root = parser.parse();
-  if (!parser.error().empty()) return parser.error();
-  if (!root.is_object()) return "top level is not an object";
-  const JsonObject& top = root.object();
+  JsonValue top;
+  if (std::string err = parse_object(text, top); !err.empty()) return err;
 
-  const JsonValue* bundle = find(top, "bundle");
+  const JsonValue* bundle = top.find("bundle");
   if (bundle == nullptr || !bundle->is_string() ||
-      bundle->string() != "ncdrf.flight") {
+      bundle->text != "ncdrf.flight") {
     return "missing \"bundle\":\"ncdrf.flight\" marker";
   }
-  if (std::string err = require_number(top, "seq", "bundle"); !err.empty()) {
+  if (std::string err = require_numbers(top, {"seq"}, "bundle");
+      !err.empty()) {
     return err;
   }
 
-  const JsonValue* trigger = find(top, "trigger");
+  const JsonValue* trigger = top.find("trigger");
   if (trigger == nullptr || !trigger->is_object()) {
     return "missing \"trigger\" object";
   }
-  const JsonValue* kind = find(trigger->object(), "kind");
-  if (kind == nullptr || !kind->is_string()) {
-    return "trigger: missing string \"kind\"";
-  }
-  const JsonValue* detail = find(trigger->object(), "detail");
-  if (detail == nullptr || !detail->is_string()) {
-    return "trigger: missing string \"detail\"";
-  }
-  for (const char* key : {"time", "value"}) {
-    if (std::string err = require_number(trigger->object(), key, "trigger");
-        !err.empty()) {
-      return err;
+  for (const char* key : {"kind", "detail"}) {
+    const JsonValue* field = trigger->find(key);
+    if (field == nullptr || !field->is_string()) {
+      return std::string("trigger: missing string \"") + key + '"';
     }
   }
+  if (std::string err = require_numbers(*trigger, {"time", "value"}, "trigger");
+      !err.empty()) {
+    return err;
+  }
 
-  const JsonValue* config = find(top, "config");
+  const JsonValue* config = top.find("config");
   if (config == nullptr || !config->is_object()) {
     return "missing \"config\" object";
   }
 
-  const JsonValue* metrics = find(top, "metrics");
+  const JsonValue* metrics = top.find("metrics");
   if (metrics == nullptr || !metrics->is_object()) {
     return "missing \"metrics\" object";
   }
-  if (std::string err = check_metrics_object(metrics->object());
-      !err.empty()) {
+  if (std::string err = check_metrics_object(*metrics); !err.empty()) {
     return "metrics: " + err;
   }
 
-  const JsonValue* timeseries = find(top, "timeseries");
+  const JsonValue* timeseries = top.find("timeseries");
   if (timeseries == nullptr || !timeseries->is_array()) {
     return "missing \"timeseries\" array";
   }
-  double prev_window = -std::numeric_limits<double>::infinity();
-  double prev_t1 = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < timeseries->array().size(); ++i) {
-    const JsonValue& snap = timeseries->array()[i];
-    std::ostringstream where;
-    where << "timeseries[" << i << ']';
-    if (!snap.is_object()) return where.str() + ": not an object";
-    if (std::string err = check_snapshot_object(snap.object(), where.str(),
-                                                prev_window, prev_t1);
+  double prev_window = kNegInf;
+  double prev_t1 = kNegInf;
+  for (std::size_t i = 0; i < timeseries->items.size(); ++i) {
+    if (std::string err = check_snapshot_object(
+            timeseries->items[i], "timeseries[" + std::to_string(i) + ']',
+            prev_window, prev_t1);
         !err.empty()) {
       return err;
     }
   }
 
-  const JsonValue* trace = find(top, "trace");
+  const JsonValue* trace = top.find("trace");
   if (trace == nullptr || !trace->is_object()) {
     return "missing \"trace\" object";
   }
-  if (std::string err = require_number(trace->object(), "dropped", "trace");
+  if (std::string err = require_numbers(*trace, {"dropped"}, "trace");
       !err.empty()) {
     return err;
   }
-  const JsonValue* events = find(trace->object(), "events");
+  const JsonValue* events = trace->find("events");
   if (events == nullptr || !events->is_array()) {
     return "trace: missing \"events\" array";
   }
-  for (std::size_t i = 0; i < events->array().size(); ++i) {
-    const JsonValue& event = events->array()[i];
-    std::ostringstream where;
-    where << "trace.events[" << i << ']';
-    if (!event.is_object()) return where.str() + ": not an object";
-    if (std::string err = check_event_fields(event.object(), where.str());
+  for (std::size_t i = 0; i < events->items.size(); ++i) {
+    if (std::string err = check_event_fields(
+            events->items[i], "trace.events[" + std::to_string(i) + ']');
         !err.empty()) {
       return err;
     }
@@ -693,89 +366,81 @@ std::string validate_flight_bundle_json(const std::string& text) {
 }
 
 std::string parse_timeseries_line(const std::string& line, SnapshotRow* out) {
-  Parser parser(line);
-  const JsonValue root = parser.parse();
-  if (!parser.error().empty()) return parser.error();
-  if (!root.is_object()) return "not a JSON object";
-  const JsonObject& snap = root.object();
-  double prev_window = -std::numeric_limits<double>::infinity();
-  double prev_t1 = -std::numeric_limits<double>::infinity();
+  JsonValue snap;
+  if (std::string err = parse_object(line, snap); !err.empty()) return err;
+  double prev_window = kNegInf;
+  double prev_t1 = kNegInf;
   if (std::string err =
           check_snapshot_object(snap, "snapshot", prev_window, prev_t1);
       !err.empty()) {
     return err;
   }
-  out->window = find(snap, "window")->number();
-  out->t0 = find(snap, "t0")->number();
-  out->t1 = find(snap, "t1")->number();
+  out->window = snap.find("window")->number;
+  out->t0 = snap.find("t0")->number;
+  out->t1 = snap.find("t1")->number;
   out->counters.clear();
   out->gauges.clear();
   out->histograms.clear();
-  for (const auto& [name, value] : find(snap, "counters")->object()) {
+  const auto numbers = [](const JsonValue& entry,
+                          std::initializer_list<const char*> keys) {
+    std::vector<double> values;
+    for (const char* key : keys) values.push_back(entry.find(key)->number);
+    return values;
+  };
+  for (const auto& [name, value] : snap.find("counters")->members) {
     out->counters.emplace_back(
-        name, std::vector<double>{find(value.object(), "total")->number(),
-                                  find(value.object(), "delta")->number(),
-                                  find(value.object(), "rate_per_s")->number()});
+        name, numbers(value, {"total", "delta", "rate_per_s"}));
   }
-  for (const auto& [name, value] : find(snap, "gauges")->object()) {
-    out->gauges.emplace_back(name, value.number());
+  for (const auto& [name, value] : snap.find("gauges")->members) {
+    out->gauges.emplace_back(name, value.number);
   }
-  for (const auto& [name, value] : find(snap, "histograms")->object()) {
+  for (const auto& [name, value] : snap.find("histograms")->members) {
     out->histograms.emplace_back(
-        name, std::vector<double>{find(value.object(), "count")->number(),
-                                  find(value.object(), "sum")->number(),
-                                  find(value.object(), "p50")->number(),
-                                  find(value.object(), "p95")->number(),
-                                  find(value.object(), "p99")->number()});
+        name, numbers(value, {"count", "sum", "p50", "p95", "p99"}));
   }
   return "";
 }
 
 std::string validate_gaming_json(const std::string& text) {
-  Parser parser(text);
-  const JsonValue root = parser.parse();
-  if (!parser.error().empty()) return parser.error();
-  if (!root.is_object()) return "top level is not an object";
-  const JsonObject& top = root.object();
-  const JsonValue* benchmark = find(top, "benchmark");
+  JsonValue top;
+  if (std::string err = parse_object(text, top); !err.empty()) return err;
+  const JsonValue* benchmark = top.find("benchmark");
   if (benchmark == nullptr || !benchmark->is_string() ||
-      benchmark->string() != "bench_gaming") {
+      benchmark->text != "bench_gaming") {
     return "missing \"benchmark\": \"bench_gaming\" tag";
   }
-  const JsonValue* rows = find(top, "rows");
+  const JsonValue* rows = top.find("rows");
   if (rows == nullptr || !rows->is_array()) return "missing \"rows\" array";
-  for (std::size_t i = 0; i < rows->array().size(); ++i) {
-    std::ostringstream where_s;
-    where_s << "rows[" << i << ']';
-    const std::string where = where_s.str();
-    const JsonValue& value = rows->array()[i];
-    if (!value.is_object()) return where + ": not an object";
-    const JsonObject& row = value.object();
+  for (std::size_t i = 0; i < rows->items.size(); ++i) {
+    const std::string where = "rows[" + std::to_string(i) + ']';
+    const JsonValue& row = rows->items[i];
+    if (!row.is_object()) return where + ": not an object";
     for (const char* key : {"policy", "strategy"}) {
-      const JsonValue* field = find(row, key);
+      const JsonValue* field = row.find(key);
       if (field == nullptr || !field->is_string()) {
         return where + ": \"" + key + "\" not a string";
       }
     }
-    for (const char* key :
-         {"honest_fraction", "clients", "machines", "attackers", "coflows",
-          "utilization", "jain_coflow", "jain_tenant", "log_welfare",
-          "attacker_gain", "victim_slowdown", "makespan_s"}) {
-      if (std::string err = require_number(row, key, where); !err.empty()) {
-        return err;
-      }
+    if (std::string err = require_numbers(
+            row,
+            {"honest_fraction", "clients", "machines", "attackers", "coflows",
+             "utilization", "jain_coflow", "jain_tenant", "log_welfare",
+             "attacker_gain", "victim_slowdown", "makespan_s"},
+            where);
+        !err.empty()) {
+      return err;
     }
-    const double fraction = find(row, "honest_fraction")->number();
+    const double fraction = row.find("honest_fraction")->number;
     if (fraction <= 0.0 || fraction >= 1.0) {
       return where + ": honest_fraction outside (0, 1)";
     }
     for (const char* key : {"attacker_gain", "victim_slowdown"}) {
-      if (find(row, key)->number() <= 0.0) {
+      if (row.find(key)->number <= 0.0) {
         return where + ": \"" + std::string(key) + "\" not positive";
       }
     }
     for (const char* key : {"jain_coflow", "jain_tenant", "utilization"}) {
-      const double v = find(row, key)->number();
+      const double v = row.find(key)->number;
       if (v < 0.0 || v > 1.0 + 1e-9) {
         return where + ": \"" + std::string(key) + "\" outside [0, 1]";
       }

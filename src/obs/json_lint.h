@@ -4,8 +4,9 @@
 // the image), so CI needs an independent check that the artifacts are
 // well-formed and match the schema downstream tools expect — a trace that
 // Perfetto silently refuses to load is worse than a failing test. Each
-// validator parses the full text with a self-contained JSON parser and
-// then checks the schema structurally:
+// validator parses the full text with the strict reader in common/json.h
+// (which also rejects repeated keys) and then checks the schema
+// structurally:
 //
 //   * Chrome trace: top-level object with a "traceEvents" array; every
 //     event has name/cat/ph/ts/pid/tid with the right types, a known
@@ -62,8 +63,7 @@ std::string validate_gaming_json(const std::string& text);
 
 // --- Parsed snapshot view (tools/obs_top) --------------------------------
 // One timeseries NDJSON line decoded into flat name/value rows, in the
-// line's (name-sorted) order. Numbers only — obs_top renders, it doesn't
-// aggregate.
+// line's order. Numbers only — obs_top renders, it doesn't aggregate.
 struct SnapshotRow {
   double window = 0.0;
   double t0 = 0.0;

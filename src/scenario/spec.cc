@@ -1,21 +1,19 @@
 #include "scenario/spec.h"
 
-#include <cctype>
-#include <cerrno>
-#include <cmath>
+#include <charconv>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
 #include "cluster/message.h"
 #include "common/check.h"
+#include "common/json.h"
 #include "core/registry.h"
 #include "fabric/fabric.h"
 #include "scenario/source.h"
@@ -25,9 +23,8 @@ namespace ncdrf::scenario {
 namespace {
 
 // ---------------------------------------------------------------------------
-// JSON writer. Doubles print with %.17g so every value round-trips exactly;
-// the reader below parses the same grammar, which is what makes
-// parse_scenario(to_json(spec)) an identity.
+// JSON writer. Doubles print with %.17g so every value round-trips exactly,
+// which is what makes parse_scenario(to_json(spec)) an identity.
 // ---------------------------------------------------------------------------
 
 std::string fmt(double v) {
@@ -36,22 +33,13 @@ std::string fmt(double v) {
   return buf;
 }
 
-void append_quoted(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
-
 void append_field(std::string& out, const char* key, const std::string& value,
                   bool quoted) {
   if (out.back() != '{' && out.back() != '[') out += ',';
-  append_quoted(out, key);
+  append_json_string(out, key);
   out += ':';
   if (quoted) {
-    append_quoted(out, value);
+    append_json_string(out, value);
   } else {
     out += value;
   }
@@ -102,238 +90,127 @@ void append_fault(std::string& out, const FaultEvent& e) {
 }
 
 // ---------------------------------------------------------------------------
-// JSON reader: a strict recursive-descent parser over the spec schema.
-// Unknown keys are errors — a typo in a checked-in spec should fail loudly,
-// not silently fall back to a default.
+// Spec schema over the common/json DOM. Unknown keys are errors — a typo in
+// a checked-in spec should fail loudly, not silently fall back to a default.
 // ---------------------------------------------------------------------------
 
-// Throws unless the conversion of `token` stopped at its end and `ok` holds.
-void check_number(const std::string& token, const char* end, bool ok) {
-  NCDRF_CHECK(ok && !token.empty() && end == token.c_str() + token.size(),
-              "scenario json: malformed number '" + token + "'");
+void expect_type(const std::string& key, const JsonValue& v,
+                 JsonValue::Type type, const char* what) {
+  NCDRF_CHECK(v.type == type,
+              "scenario json: \"" + key + "\" must be " + what);
 }
 
-// An int field or a strategy client key: the whole token, within int.
-int parse_int_token(const std::string& token) {
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(token.c_str(), &end, 10);
-  check_number(token, end,
-               errno != ERANGE && v >= std::numeric_limits<int>::min() &&
-                   v <= std::numeric_limits<int>::max());
-  return static_cast<int>(v);
+const std::vector<std::pair<std::string, JsonValue>>& members(
+    const std::string& key, const JsonValue& v) {
+  expect_type(key, v, JsonValue::Type::kObject, "an object");
+  return v.members;
 }
 
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : text_(text) {}
+double to_double(const std::string& key, const JsonValue& v) {
+  expect_type(key, v, JsonValue::Type::kNumber, "a number");
+  return v.number;  // the reader rejects numbers that overflow a double
+}
 
-  char peek() {
-    skip_ws();
-    NCDRF_CHECK(pos_ < text_.size(), "scenario json: unexpected end of input");
-    return text_[pos_];
-  }
+// The whole token in decimal, within T: an int field rejects 4.9, 1e3 and
+// 3000000000, and a 64-bit seed converts without a trip through double.
+template <typename T>
+T integer_token(const std::string& token) {
+  T value{};
+  const char* end = token.data() + token.size();
+  const auto [stop, ec] = std::from_chars(token.data(), end, value);
+  NCDRF_CHECK(ec == std::errc() && stop == end,
+              "scenario json: malformed integer '" + token + "'");
+  return value;
+}
 
-  void expect(char c) {
-    NCDRF_CHECK(peek() == c,
-                std::string("scenario json: expected '") + c + "' near offset " +
-                    std::to_string(pos_));
-    ++pos_;
-  }
+template <typename T>
+T to_integer(const std::string& key, const JsonValue& v) {
+  expect_type(key, v, JsonValue::Type::kNumber, "a number");
+  return integer_token<T>(v.text);
+}
 
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      NCDRF_CHECK(pos_ < text_.size(), "scenario json: unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') break;
-      if (c == '\\') {
-        NCDRF_CHECK(pos_ < text_.size(), "scenario json: dangling escape");
-        out += text_[pos_++];
-      } else {
-        out += c;
-      }
-    }
-    return out;
-  }
+bool to_bool(const std::string& key, const JsonValue& v) {
+  expect_type(key, v, JsonValue::Type::kBool, "true or false");
+  return v.boolean;
+}
 
-  // Numbers convert from their text, so a 64-bit seed keeps every bit, and
-  // each conversion must consume the whole token.
-  double parse_double() {
-    const std::string token = number_token();
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    // No ERANGE check: glibc sets it for denormals, which %.17g writes.
-    check_number(token, end, std::isfinite(v));
-    return v;
-  }
+const std::string& to_text(const std::string& key, const JsonValue& v) {
+  expect_type(key, v, JsonValue::Type::kString, "a string");
+  return v.text;
+}
 
-  int parse_int() { return parse_int_token(number_token()); }
+// A strategy's client key is an int in the canonical form to_json writes,
+// so no two keys name one client.
+int client_key(const std::string& key) {
+  const int client = integer_token<int>(key);
+  NCDRF_CHECK(std::to_string(client) == key,
+              "scenario json: malformed client key '" + key + "'");
+  return client;
+}
 
-  std::uint64_t parse_u64() {
-    const std::string token = number_token();
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(token.c_str(), &end, 10);
-    check_number(token, end, token[0] != '-' && errno != ERANGE);
-    return v;
-  }
-
-  bool parse_bool() {
-    if (peek() == 't') {
-      literal("true");
-      return true;
-    }
-    literal("false");
-    return false;
-  }
-
-  // Parses `{"k1": <v>, ...}` calling on_key for each member with the
-  // reader positioned at the value.
-  void parse_object(const std::function<void(const std::string&)>& on_key) {
-    expect('{');
-    if (peek() == '}') {
-      ++pos_;
-      return;
-    }
-    while (true) {
-      const std::string key = parse_string();
-      expect(':');
-      on_key(key);
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return;
-    }
-  }
-
-  void parse_array(const std::function<void()>& on_element) {
-    expect('[');
-    if (peek() == ']') {
-      ++pos_;
-      return;
-    }
-    while (true) {
-      on_element();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return;
-    }
-  }
-
-  void finish() {
-    skip_ws();
-    NCDRF_CHECK(pos_ == text_.size(),
-                "scenario json: trailing characters after the document");
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  void literal(const char* word) {
-    skip_ws();
-    for (const char* p = word; *p != '\0'; ++p) {
-      NCDRF_CHECK(pos_ < text_.size() && text_[pos_] == *p,
-                  std::string("scenario json: expected literal ") + word);
-      ++pos_;
-    }
-  }
-
-  std::string number_token() {
-    skip_ws();
-    const std::size_t start = pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c)) != 0 || c == '-' ||
-          c == '+' || c == '.' || c == 'e' || c == 'E') {
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    NCDRF_CHECK(pos_ > start, "scenario json: expected a number near offset " +
-                                  std::to_string(start));
-    return text_.substr(start, pos_ - start);
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-serve::LoadGenOptions parse_workload(JsonReader& r) {
+serve::LoadGenOptions parse_workload(const JsonValue& object) {
   serve::LoadGenOptions w;
-  r.parse_object([&](const std::string& key) {
+  for (const auto& [key, v] : members("workload", object)) {
     if (key == "seed") {
-      w.seed = r.parse_u64();
+      w.seed = to_integer<std::uint64_t>(key, v);
     } else if (key == "num_clients") {
-      w.num_clients = r.parse_int();
+      w.num_clients = to_integer<int>(key, v);
     } else if (key == "num_machines") {
-      w.num_machines = r.parse_int();
+      w.num_machines = to_integer<int>(key, v);
     } else if (key == "arrival_rate_per_s") {
-      w.arrival_rate_per_s = r.parse_double();
+      w.arrival_rate_per_s = to_double(key, v);
     } else if (key == "duration_s") {
-      w.duration_s = r.parse_double();
+      w.duration_s = to_double(key, v);
     } else if (key == "min_flows_per_coflow") {
-      w.min_flows_per_coflow = r.parse_int();
+      w.min_flows_per_coflow = to_integer<int>(key, v);
     } else if (key == "max_flows_per_coflow") {
-      w.max_flows_per_coflow = r.parse_int();
+      w.max_flows_per_coflow = to_integer<int>(key, v);
     } else if (key == "mean_flow_bits") {
-      w.mean_flow_bits = r.parse_double();
+      w.mean_flow_bits = to_double(key, v);
     } else if (key == "flow_size_sigma") {
-      w.flow_size_sigma = r.parse_double();
+      w.flow_size_sigma = to_double(key, v);
     } else if (key == "burst_factor") {
-      w.burst_factor = r.parse_double();
+      w.burst_factor = to_double(key, v);
     } else if (key == "burst_duty") {
-      w.burst_duty = r.parse_double();
+      w.burst_duty = to_double(key, v);
     } else if (key == "burst_period_s") {
-      w.burst_period_s = r.parse_double();
+      w.burst_period_s = to_double(key, v);
     } else if (key == "mean_lifetime_s") {
-      w.mean_lifetime_s = r.parse_double();
+      w.mean_lifetime_s = to_double(key, v);
     } else if (key == "sizes_known") {
-      w.sizes_known = r.parse_bool();
+      w.sizes_known = to_bool(key, v);
     } else if (key == "weight") {
-      w.weight = r.parse_double();
+      w.weight = to_double(key, v);
     } else {
       NCDRF_CHECK(false, "scenario json: unknown workload key: " + key);
     }
-  });
+  }
   return w;
 }
 
-StrategySpec parse_strategy(JsonReader& r) {
+StrategySpec parse_strategy(const std::string& client, const JsonValue& object) {
   StrategySpec s;
-  r.parse_object([&](const std::string& key) {
+  for (const auto& [key, v] : members(client, object)) {
     if (key == "kind") {
-      s.kind = r.parse_string();
+      s.kind = to_text(key, v);
     } else if (key == "k") {
-      s.k = r.parse_int();
+      s.k = to_integer<int>(key, v);
     } else if (key == "factor") {
-      s.factor = r.parse_int();
+      s.factor = to_integer<int>(key, v);
     } else if (key == "pad") {
-      s.pad = r.parse_int();
+      s.pad = to_integer<int>(key, v);
     } else if (key == "dust_bits") {
-      s.dust_bits = r.parse_double();
+      s.dust_bits = to_double(key, v);
     } else if (key == "period_s") {
-      s.period_s = r.parse_double();
+      s.period_s = to_double(key, v);
     } else if (key == "duty") {
-      s.duty = r.parse_double();
+      s.duty = to_double(key, v);
     } else if (key == "seed") {
-      s.seed = r.parse_u64();
+      s.seed = to_integer<std::uint64_t>(key, v);
     } else {
       NCDRF_CHECK(false, "scenario json: unknown strategy key: " + key);
     }
-  });
+  }
   return s;
 }
 
@@ -351,21 +228,21 @@ FaultKind parse_fault_kind(const std::string& name) {
   return FaultKind::kSlaveCrash;
 }
 
-FaultEvent parse_fault(JsonReader& r) {
+FaultEvent parse_fault(const JsonValue& object) {
   FaultEvent e;
-  r.parse_object([&](const std::string& key) {
+  for (const auto& [key, v] : members("faults", object)) {
     if (key == "time") {
-      e.time = r.parse_double();
+      e.time = to_double(key, v);
     } else if (key == "kind") {
-      e.kind = parse_fault_kind(r.parse_string());
+      e.kind = parse_fault_kind(to_text(key, v));
     } else if (key == "machine") {
-      e.machine = r.parse_int();
+      e.machine = to_integer<int>(key, v);
     } else if (key == "loss_probability") {
-      e.loss_probability = r.parse_double();
+      e.loss_probability = to_double(key, v);
     } else {
       NCDRF_CHECK(false, "scenario json: unknown fault key: " + key);
     }
-  });
+  }
   return e;
 }
 
@@ -494,28 +371,30 @@ std::string to_json(const ScenarioSpec& spec) {
 }
 
 ScenarioSpec parse_scenario(const std::string& json) {
+  JsonValue root;
+  const std::string error = parse_json(json, &root);
+  NCDRF_CHECK(error.empty(), "scenario json: " + error);
   ScenarioSpec spec;
-  JsonReader r(json);
-  r.parse_object([&](const std::string& key) {
+  for (const auto& [key, v] : members("spec", root)) {
     if (key == "name") {
-      spec.name = r.parse_string();
+      spec.name = to_text(key, v);
     } else if (key == "policy") {
-      spec.policy = r.parse_string();
+      spec.policy = to_text(key, v);
     } else if (key == "link_gbps") {
-      spec.link_gbps = r.parse_double();
+      spec.link_gbps = to_double(key, v);
     } else if (key == "workload") {
-      spec.workload = parse_workload(r);
+      spec.workload = parse_workload(v);
     } else if (key == "strategies") {
-      r.parse_object([&](const std::string& client) {
-        spec.strategies[parse_int_token(client)] = parse_strategy(r);
-      });
+      for (const auto& [client, strategy] : members(key, v)) {
+        spec.strategies[client_key(client)] = parse_strategy(client, strategy);
+      }
     } else if (key == "faults") {
-      r.parse_array([&] { spec.faults.add(parse_fault(r)); });
+      expect_type(key, v, JsonValue::Type::kArray, "an array");
+      for (const JsonValue& event : v.items) spec.faults.add(parse_fault(event));
     } else {
       NCDRF_CHECK(false, "scenario json: unknown spec key: " + key);
     }
-  });
-  r.finish();
+  }
   return spec;
 }
 

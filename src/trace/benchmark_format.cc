@@ -1,9 +1,13 @@
 #include "trace/benchmark_format.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <string_view>
+#include <system_error>
 
 #include "common/check.h"
 #include "common/units.h"
@@ -18,6 +22,15 @@ struct RawCoflow {
   std::vector<std::pair<int, double>> reducers;  // (rack, total MB)
 };
 
+// The whole text of `token` in decimal: std::stoi stops at the first
+// non-digit ("2x" reads as 2) and std::stod parses hex ("0x10" reads as 16).
+template <typename T>
+bool parse_whole(std::string_view token, T& value) {
+  const char* end = token.data() + token.size();
+  const auto [stop, ec] = std::from_chars(token.data(), end, value);
+  return ec == std::errc() && stop == end;
+}
+
 }  // namespace
 
 Trace parse_benchmark_trace(std::istream& in) {
@@ -28,9 +41,13 @@ Trace parse_benchmark_trace(std::istream& in) {
   NCDRF_CHECK(num_racks >= 1, "trace must have at least one rack");
   NCDRF_CHECK(num_coflows >= 1, "trace must have at least one coflow");
 
+  // No reserve: the header's count is unchecked until the lines arrive.
   std::vector<RawCoflow> raw;
-  raw.reserve(static_cast<std::size_t>(num_coflows));
-  int min_rack = num_racks + 1;
+  bool zero_based = false;
+  const auto check_rack = [&](int rack) {
+    NCDRF_CHECK(rack >= 0, "negative rack id in trace");
+    zero_based = zero_based || rack == 0;
+  };
   for (int c = 0; c < num_coflows; ++c) {
     RawCoflow rc;
     int num_mappers = 0;
@@ -41,8 +58,8 @@ Trace parse_benchmark_trace(std::istream& in) {
     for (int m = 0; m < num_mappers; ++m) {
       int rack = 0;
       NCDRF_CHECK(static_cast<bool>(in >> rack), "missing mapper rack");
+      check_rack(rack);
       rc.mappers.push_back(rack);
-      min_rack = std::min(min_rack, rack);
     }
     int num_reducers = 0;
     NCDRF_CHECK(static_cast<bool>(in >> num_reducers),
@@ -54,24 +71,24 @@ Trace parse_benchmark_trace(std::istream& in) {
       const std::size_t colon = token.find(':');
       NCDRF_CHECK(colon != std::string::npos,
                   "reducer entry must be 'rack:sizeMB', got '" + token + "'");
+      const std::string_view entry = token;
       int rack = 0;
       double size_mb = 0.0;
-      try {
-        rack = std::stoi(token.substr(0, colon));
-        size_mb = std::stod(token.substr(colon + 1));
-      } catch (const std::exception&) {
-        NCDRF_CHECK(false, "unparsable reducer entry '" + token + "'");
-      }
+      NCDRF_CHECK(parse_whole(entry.substr(0, colon), rack) &&
+                      parse_whole(entry.substr(colon + 1), size_mb),
+                  "unparsable reducer entry '" + token + "'");
       NCDRF_CHECK(size_mb > 0.0, "reducer shuffle size must be positive");
+      NCDRF_CHECK(std::isfinite(megabytes(size_mb)),
+                  "reducer shuffle size overflows bits: '" + token + "'");
+      check_rack(rack);
       rc.reducers.emplace_back(rack, size_mb);
-      min_rack = std::min(min_rack, rack);
     }
     raw.push_back(std::move(rc));
   }
 
   // Published benchmark traces are 1-based; synthetic/test inputs may be
   // 0-based. A rack id of 0 anywhere means the whole file is 0-based.
-  const int base = (min_rack == 0) ? 0 : 1;
+  const int base = zero_based ? 0 : 1;
 
   TraceBuilder builder(num_racks);
   for (const RawCoflow& rc : raw) {

@@ -1,14 +1,20 @@
-// Unit tests for src/common: checks, units, RNG, statistics.
+// Unit tests for src/common: checks, units, RNG, statistics, the JSON
+// reader and writer.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <limits>
 #include <set>
+#include <string>
 
 #include "common/check.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
 #include "common/units.h"
+#include "obs/json_lint.h"
 
 namespace ncdrf {
 namespace {
@@ -202,6 +208,162 @@ TEST(AsciiTableTest, RendersAlignedRows) {
 TEST(AsciiTableTest, RowWidthMismatchThrows) {
   AsciiTable table({"a", "b"});
   EXPECT_THROW(table.add_row({"only-one"}), CheckError);
+}
+
+// --- common/json ------------------------------------------------------------
+
+TEST(Json, AcceptsAndRejectsPerRfc8259) {
+  struct Case {
+    const char* text;
+    bool ok;
+  };
+  const Case cases[] = {
+      // Numbers.
+      {"0", true},
+      {"-0", true},
+      {"-12.5e-3", true},
+      {"1E+2", true},
+      {"4.9406564584124654e-324", true},
+      {"18446744073709551616", true},
+      {"+1", false},
+      {".5", false},
+      {"01", false},
+      {"007", false},
+      {"1.", false},
+      {"-", false},
+      {"1e", false},
+      {"1e+", false},
+      {"0x10", false},
+      {"1e999", false},
+      {"Infinity", false},
+      {"NaN", false},
+      // Whitespace: the four RFC bytes only.
+      {" \t\n\r[ 1 ,\t2 ]\r\n", true},
+      {"\v1", false},
+      {"\f1", false},
+      {"[1,\v2]", false},
+      {"\xc2\xa0[]", false},
+      // Escapes.
+      {R"("\" \\ \/ \b \f \n \r \t \u00e9")", true},
+      {R"("\a")", false},
+      {R"("\x41")", false},
+      {R"("\u00G1")", false},
+      {R"("\u004")", false},
+      {R"("\)", false},
+      {"\"a\nb\"", false},
+      {"\"\x01\"", false},
+      {"\"\x7f\xff\"", true},
+      // Surrogates: paired decode, lone ones are errors.
+      {"\"\\ud83d\\ude00\"", true},
+      {"\"\\uD83D\\uDE00\"", true},
+      {R"("\ud83d")", false},
+      {R"("\ud83dx")", false},
+      {"\"\\ud83d\\u0041\"", false},
+      {R"("\ude00")", false},
+      // Duplicate keys, at any depth; equal keys in sibling objects are fine.
+      {R"({"a":1,"b":2})", true},
+      {R"({"a":1,"a":2})", false},
+      {R"({"a":1,"b":{"c":1,"c":1}})", false},
+      {R"([{"a":1},{"a":1}])", true},
+      {R"({"ab":1,"ab":2})", false},
+      // Structure and trailing text.
+      {"true", true},
+      {"null", true},
+      {"", false},
+      {"tru", false},
+      {"nul", false},
+      {"[1,]", false},
+      {R"({"a":1,})", false},
+      {"{1:2}", false},
+      {"[1]]", false},
+      {"{} x", false},
+      {"1 2", false},
+  };
+  for (const Case& c : cases) {
+    JsonValue value;
+    EXPECT_EQ(parse_json(c.text, &value).empty(), c.ok) << c.text;
+    EXPECT_EQ(obs::validate_json(c.text).empty(), c.ok) << c.text;
+  }
+}
+
+TEST(Json, DecodesStringsAndKeepsNumberTokens) {
+  JsonValue v;
+  ASSERT_EQ(parse_json(R"(["a\nb", "\u0041", "\u00e9\u20ac\ud83d\ude00",)"
+                       R"( "\"\\\/\b\f\r\t\u0000", 18446744073709551615,)"
+                       R"( 4.9406564584124654e-324, -0, true, null])",
+                       &v),
+            "");
+  ASSERT_TRUE(v.is_array());
+  ASSERT_EQ(v.items.size(), 9u);
+  EXPECT_EQ(v.items[0].text, "a\nb");
+  EXPECT_EQ(v.items[1].text, "A");
+  EXPECT_EQ(v.items[2].text, "\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80");
+  EXPECT_EQ(v.items[3].text, std::string("\"\\/\b\f\r\t\0", 8));
+  EXPECT_EQ(v.items[4].text, "18446744073709551615");
+  EXPECT_EQ(v.items[5].number, std::numeric_limits<double>::denorm_min());
+  EXPECT_TRUE(std::signbit(v.items[6].number));
+  EXPECT_TRUE(v.items[7].boolean);
+  EXPECT_EQ(v.items[8].type, JsonValue::Type::kNull);
+}
+
+TEST(Json, ObjectsKeepDocumentOrder) {
+  JsonValue v;
+  ASSERT_EQ(parse_json(R"({"b": 1, "a": [2], "c": {}})", &v), "");
+  ASSERT_EQ(v.members.size(), 3u);
+  EXPECT_EQ(v.members[0].first, "b");
+  EXPECT_EQ(v.members[1].first, "a");
+  EXPECT_EQ(v.members[2].first, "c");
+  ASSERT_NE(v.find("a"), nullptr);
+  EXPECT_EQ(v.find("a")->items[0].number, 2.0);
+  EXPECT_EQ(v.find("d"), nullptr);
+  EXPECT_EQ(v.find("a")->find("b"), nullptr);  // not an object
+}
+
+TEST(Json, WriterRoundTripsEveryByte) {
+  std::string bytes;
+  for (int b = 0; b < 256; ++b) bytes.push_back(static_cast<char>(b));
+  std::string out;
+  append_json_string(out, bytes);
+  EXPECT_EQ(out.find('\n'), std::string::npos);
+  JsonValue v;
+  ASSERT_EQ(parse_json(out, &v), "");
+  EXPECT_EQ(v.text, bytes);
+  out.clear();
+  append_json_string(out, "a\"b\\c\n\x01");
+  EXPECT_EQ(out, R"("a\"b\\c\n\u0001")");
+}
+
+// Nesting past the bound is an error, never a stack overflow.
+TEST(Json, DeepNestingIsAnError) {
+  const std::string deep(1'000'000, '[');
+  JsonValue v;
+  EXPECT_NE(parse_json(deep, &v), "");
+  EXPECT_NE(obs::validate_json(deep), "");
+  obs::SnapshotRow row;
+  EXPECT_NE(obs::parse_timeseries_line(deep, &row), "");
+
+  const std::string at_bound =
+      std::string(kJsonMaxDepth, '[') + std::string(kJsonMaxDepth, ']');
+  EXPECT_EQ(parse_json(at_bound, &v), "");
+  EXPECT_NE(parse_json("[" + at_bound + "]", &v), "");
+}
+
+// Repeated keys are found without a scan per key: 50,000 keys would take
+// seconds with one.
+TEST(Json, WideObjectParsesFast) {
+  std::string text = "{";
+  for (int i = 0; i < 50000; ++i) {
+    if (i > 0) text += ',';
+    text += "\"key" + std::to_string(i) + "\":" + std::to_string(i);
+  }
+  const auto start = std::chrono::steady_clock::now();
+  JsonValue v;
+  ASSERT_EQ(parse_json(text + "}", &v), "");
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(v.members.size(), 50000u);
+  EXPECT_LT(elapsed.count(), 1.0);
+  EXPECT_NE(parse_json(text + ",\"key0\":0}", &v), "");
 }
 
 }  // namespace

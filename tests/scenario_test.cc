@@ -22,6 +22,7 @@
 #include "common/check.h"
 #include "common/units.h"
 #include "core/registry.h"
+#include "obs/json_lint.h"
 #include "scenario/eval.h"
 #include "scenario/source.h"
 #include "scenario/spec.h"
@@ -250,6 +251,42 @@ TEST(ScenarioSpecJson, RejectsUnknownKeys) {
                CheckError);
 }
 
+// Names are fully escaped on the way out and decoded on the way in, so any
+// bytes round-trip and the document stays valid JSON.
+TEST(ScenarioSpecJson, NamesWithControlCharactersRoundTrip) {
+  ScenarioSpec spec = small_spec("ncdrf", 5);
+  spec.name = std::string("line\nbreak\ttab\x01 \"quote\" back\\slash ") +
+              "\xc3\xa9\xe2\x82\xac";
+  const std::string json = to_json(spec);
+  EXPECT_EQ(obs::validate_json(json), "");
+  const ScenarioSpec parsed = scenario::parse_scenario(json);
+  EXPECT_EQ(parsed.name, spec.name);
+  EXPECT_EQ(to_json(parsed), json);
+
+  const ScenarioSpec decoded = scenario::parse_scenario(
+      R"({"name": "a\nb", "policy": "\u0041"})");
+  EXPECT_EQ(decoded.name, "a\nb");
+  EXPECT_EQ(decoded.policy, "A");
+}
+
+// The spec reader and the artifact validators share one JSON reader, so
+// input that is not JSON fails both, a repeated key included.
+TEST(ScenarioSpecJson, RejectsWhatValidateJsonRejects) {
+  for (const char* json : {
+           R"({"link_gbps": +1})",
+           R"({"link_gbps": .5})",
+           R"({"link_gbps": 01})",
+           R"({"link_gbps": 1.})",
+           R"({"workload": {"num_clients": +4}})",
+           R"({"workload": {"seed": 007}})",
+           "{\"link_gbps\":\v1}",
+           R"({"policy": "ncdrf", "policy": "karma"})",
+       }) {
+    EXPECT_THROW(scenario::parse_scenario(json), CheckError) << json;
+    EXPECT_NE(obs::validate_json(json), "") << json;
+  }
+}
+
 // Every number must be a whole, finite token that fits its field.
 TEST(ScenarioSpecJson, RejectsMalformedNumbers) {
   for (const char* json : {
@@ -265,6 +302,7 @@ TEST(ScenarioSpecJson, RejectsMalformedNumbers) {
            R"({"strategies": {"zero": {}}})",
            R"({"strategies": {"1x": {}}})",
            R"({"strategies": {"0": {"k": 2.5}}})",
+           R"({"strategies": {"007": {}}})",
        }) {
     EXPECT_THROW(scenario::parse_scenario(json), CheckError) << json;
   }

@@ -104,6 +104,11 @@ TEST(BenchmarkFormat, DetectsZeroBasedRacks) {
   const Trace trace = parse_benchmark_trace_string(text);
   EXPECT_EQ(trace.coflows[0].flows()[0].src, 0);
   EXPECT_EQ(trace.coflows[0].flows()[0].dst, 2);
+  // The rack count takes no arithmetic, so the largest int still works.
+  const Trace widest =
+      parse_benchmark_trace_string("2147483647 1\n1 0 1 0 1 1:10\n");
+  EXPECT_EQ(widest.num_machines, 2147483647);
+  EXPECT_EQ(widest.coflows[0].flows()[0].src, 0);
 }
 
 TEST(BenchmarkFormat, RoundTripsThroughSerialize) {
@@ -218,6 +223,22 @@ TEST(BenchmarkFormat, RejectsMalformedInput) {
   // Negative arrival time.
   EXPECT_THROW(parse_benchmark_trace_string("4 1\n1 -5 1 1 1 2:10\n"),
                CheckError);
+  // A header count with no lines behind it is not reserved up front.
+  EXPECT_THROW(parse_benchmark_trace_string("1 2000000000\n"), CheckError);
+  // Sizes whose bits overflow a double.
+  EXPECT_THROW(parse_benchmark_trace_string("4 1\n1 0 1 1 1 2:inf\n"),
+               CheckError);
+  EXPECT_THROW(parse_benchmark_trace_string("4 1\n1 0 1 1 1 2:1e308\n"),
+               CheckError);
+  // Reducer fields convert whole and in decimal: no hex, no stray suffix.
+  EXPECT_THROW(parse_benchmark_trace_string("4 1\n1 0 1 1 1 2:0x10\n"),
+               CheckError);
+  EXPECT_THROW(parse_benchmark_trace_string("4 1\n1 0 1 1 1 2x:5\n"),
+               CheckError);
+  // A negative rack id, at the bottom of int.
+  EXPECT_THROW(
+      parse_benchmark_trace_string("4 1\n1 0 1 -2147483648 1 2:10\n"),
+      CheckError);
 }
 
 TEST(SyntheticFb, MatchesTableIBinMix) {
