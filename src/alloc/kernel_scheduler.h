@@ -69,7 +69,8 @@ class KernelScheduler : public Scheduler {
 
   // The hooks' work: one delta applied to state_ and counted in perf_.
   // Each hands back the coflow's entry (a departure, the removed one) to
-  // subclasses that keep derived state on top of the counts.
+  // subclasses that keep derived state on top of the counts; it stays
+  // valid until the next arrival.
   const LinkLoadState::CoflowLoad& track_arrival(const ActiveCoflow& coflow) {
     const LinkLoadState::CoflowLoad& load = state_.add_coflow(coflow);
     perf_.links_touched += static_cast<long long>(load.rows.size());
@@ -84,8 +85,8 @@ class KernelScheduler : public Scheduler {
     return load;
   }
 
-  LinkLoadState::CoflowLoad track_departure(CoflowId id) {
-    LinkLoadState::CoflowLoad load = state_.remove_coflow(id);
+  const LinkLoadState::CoflowLoad& track_departure(CoflowId id) {
+    const LinkLoadState::CoflowLoad& load = state_.remove_coflow(id);
     perf_.links_touched += static_cast<long long>(load.rows.size());
     ++perf_.departure_events;
     return load;

@@ -1,7 +1,6 @@
 #include "alloc/link_state.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/check.h"
 
@@ -12,7 +11,11 @@ LinkLoadState::LinkLoadState(bool count_finished_flows)
 
 void LinkLoadState::reset(const Fabric& fabric) {
   fabric_ = &fabric;
-  coflows_.clear();
+  // Every slot is free again; arrivals retake them in index order, so a
+  // rebuild of the same snapshot writes each run into its own capacity.
+  slot_of_.clear();
+  used_ = 0;
+  free_.clear();
   id_end_ = 0;
   const auto links = static_cast<std::size_t>(fabric.num_links());
   live_link_counts_.assign(links, 0);
@@ -57,12 +60,25 @@ const LinkLoadState::CoflowLoad& LinkLoadState::add_coflow(
     counted_flows += static_cast<int>(coflow.finished_flows.size());
   }
 
-  const auto [it, inserted] = coflows_.try_emplace(coflow.id);
-  NCDRF_CHECK(inserted, "duplicate coflow arrival");
-  CoflowLoad& cs = it->second;
+  // The last freed slot, else the next never-used one.
+  const std::size_t slot =
+      free_.empty() ? used_ : static_cast<std::size_t>(free_.back());
+  const bool fresh =
+      slot_of_.insert(coflow.id, static_cast<std::int32_t>(slot)).second;
+  NCDRF_CHECK(fresh, "duplicate coflow arrival");
+  if (!free_.empty()) {
+    free_.pop_back();
+  } else if (used_++ == slots_.size()) {
+    slots_.emplace_back();
+    // Sized with slots_, so a departure never grows the free list.
+    if (free_.capacity() < slots_.capacity()) free_.reserve(slots_.capacity());
+  }
+  CoflowLoad& cs = slots_[slot];
   cs.weight = coflow.weight;
+  cs.bottleneck = 0;
   cs.live_flows = static_cast<int>(coflow.flows.size());
   cs.counted_flows = counted_flows;
+  row_runs_.fit(cs.rows, rows_scratch_.size());
   cs.rows.assign(rows_scratch_.begin(), rows_scratch_.end());
   id_end_ = std::max(id_end_, static_cast<std::size_t>(max_id + 1));
   for (const LinkRow& row : cs.rows) {
@@ -77,9 +93,9 @@ const LinkLoadState::CoflowLoad& LinkLoadState::add_coflow(
 const LinkLoadState::CoflowLoad& LinkLoadState::finish_flow(
     const ActiveFlow& flow) {
   NCDRF_CHECK(bound(), "LinkLoadState used before reset()");
-  const auto it = coflows_.find(flow.coflow);
-  NCDRF_CHECK(it != coflows_.end(), "flow finish for untracked coflow");
-  CoflowLoad& cs = it->second;
+  const std::int32_t* slot = slot_of_.find(flow.coflow);
+  NCDRF_CHECK(slot != nullptr, "flow finish for untracked coflow");
+  CoflowLoad& cs = slots_[static_cast<std::size_t>(*slot)];
   NCDRF_CHECK(cs.live_flows > 0, "flow finish with no live flows");
   const LinkId u = fabric_->uplink(flow.src);
   const LinkId d = fabric_->downlink(flow.dst);
@@ -116,16 +132,21 @@ const LinkLoadState::CoflowLoad& LinkLoadState::finish_flow(
   return cs;
 }
 
-LinkLoadState::CoflowLoad LinkLoadState::remove_coflow(CoflowId id) {
+const LinkLoadState::CoflowLoad& LinkLoadState::remove_coflow(CoflowId id) {
   NCDRF_CHECK(bound(), "LinkLoadState used before reset()");
-  auto node = coflows_.extract(id);
-  NCDRF_CHECK(!node.empty(), "departure for untracked coflow");
-  CoflowLoad& cs = node.mapped();
+  const std::int32_t* found = slot_of_.find(id);
+  NCDRF_CHECK(found != nullptr, "departure for untracked coflow");
+  const std::int32_t slot = *found;
+  slot_of_.erase(id);
+  free_.push_back(slot);
+  // The entry stays in its freed slot, rows intact, until an arrival
+  // takes the slot.
+  const CoflowLoad& cs = slots_[static_cast<std::size_t>(slot)];
   for (const LinkRow& row : cs.rows) {
     live_link_counts_[index(row.link)] -= row.live;
     if (row.counted > 0) counted_coflows_on_link_[index(row.link)] -= 1;
   }
-  return std::move(cs);
+  return cs;
 }
 
 void LinkLoadState::rebuild(const ScheduleInput& input) {
@@ -136,11 +157,11 @@ void LinkLoadState::rebuild(const ScheduleInput& input) {
 
 bool LinkLoadState::matches(const ScheduleInput& input) const {
   if (fabric_ != input.fabric) return false;
-  if (coflows_.size() != input.coflows.size()) return false;
+  if (slot_of_.size() != input.coflows.size()) return false;
   for (const ActiveCoflow& coflow : input.coflows) {
-    const auto it = coflows_.find(coflow.id);
-    if (it == coflows_.end()) return false;
-    const CoflowLoad& cs = it->second;
+    const CoflowLoad* found = find(coflow.id);
+    if (found == nullptr) return false;
+    const CoflowLoad& cs = *found;
     if (cs.weight != coflow.weight) return false;
     if (cs.live_flows != static_cast<int>(coflow.flows.size())) return false;
     const int expected_counted =
@@ -156,7 +177,7 @@ bool LinkLoadState::matches(const ScheduleInput& input) const {
 void LinkLoadState::check_consistent(const ScheduleInput& input) const {
   LinkLoadState fresh(count_finished_flows_);
   fresh.rebuild(input);
-  NCDRF_CHECK(fresh.coflows_.size() == coflows_.size(),
+  NCDRF_CHECK(fresh.num_coflows() == num_coflows(),
               "link-load state tracks a different coflow set");
   NCDRF_CHECK(fresh.live_link_counts_ == live_link_counts_,
               "per-link live totals diverged from rebuild");
@@ -178,10 +199,12 @@ void LinkLoadState::check_consistent(const ScheduleInput& input) const {
     std::sort(rows.begin(), rows.end());
     return rows;
   };
-  for (const auto& [id, cs] : fresh.coflows_) {
-    const auto it = coflows_.find(id);
-    NCDRF_CHECK(it != coflows_.end(), "coflow missing from tracked state");
-    const CoflowLoad& mine = it->second;
+  // The fresh state tracks exactly the snapshot's coflows.
+  for (const ActiveCoflow& coflow : input.coflows) {
+    const CoflowLoad& cs = *fresh.find(coflow.id);
+    const CoflowLoad* found = find(coflow.id);
+    NCDRF_CHECK(found != nullptr, "coflow missing from tracked state");
+    const CoflowLoad& mine = *found;
     NCDRF_CHECK(mine.weight == cs.weight, "coflow weight diverged");
     NCDRF_CHECK(mine.bottleneck == cs.bottleneck,
                 "coflow bottleneck diverged from rebuild");

@@ -25,9 +25,16 @@
 // link, so the scratch is never reset between arrivals, and an arrival
 // that throws midway leaves nothing behind. A coflow therefore costs
 // O(rows) memory — about 18 rows per FB-like coflow, at most two per
-// flow — not O(2m), and a warm rebuild (which the serve and deployment
-// planes run on every allocation) allocates the map node and one
-// exact-size row run per coflow and zeroes no per-coflow link vector.
+// flow — not O(2m).
+//
+// Storage. Each coflow's entry sits in a slot of one vector, found
+// through an IdMap from coflow id to slot. A departure frees its slot with
+// the row run's capacity, and the next arrival takes the last freed slot
+// and writes its rows into that capacity (sized by a RunSizer, so the
+// recycled runs hold at most a constant factor over the live rows);
+// reset() frees every slot in index order. So a serving plane's steady
+// arrival stream, and a warm rebuild of the same snapshot (which drivers
+// that deliver no events run on every allocation), allocate nothing.
 //
 // Globally: per-link live-flow totals (the per-flow fairness and
 // backfilling denominator) and the number of coflows with a positive
@@ -42,9 +49,10 @@
 #include <compare>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/id_map.h"
+#include "common/run_sizer.h"
 #include "sched/scheduler.h"
 
 namespace ncdrf {
@@ -83,16 +91,18 @@ class LinkLoadState {
   // state on top of the counts needs no second lookup. An arrival or a
   // departure writes the entry's rows, a finish its flow's two. n̄_k is
   // set at arrival and, under live counting, recomputed by a finish only
-  // when a decremented row sat at it.
+  // when a decremented row sat at it. A returned reference, like find()'s
+  // pointer, stays valid until the next arrival, reset or rebuild: an
+  // arrival may reuse a departed coflow's slot or move every slot.
   const CoflowLoad& add_coflow(const ActiveCoflow& coflow);
   const CoflowLoad& finish_flow(const ActiveFlow& flow);
-  CoflowLoad remove_coflow(CoflowId id);
+  const CoflowLoad& remove_coflow(CoflowId id);
 
   // Full from-scratch rebuild; also adopts snapshots from drivers that
   // never deliver events.
   void rebuild(const ScheduleInput& input);
 
-  // Cheap structural check (O(K) hash lookups) that the tracked state
+  // Cheap structural check (O(K) id lookups) that the tracked state
   // covers `input`: same fabric, same coflow ids/weights, same live and
   // counted flow cardinalities. Policies trust the state only when this
   // passes, so stale state degrades to a rebuild, never to wrong shares.
@@ -100,8 +110,8 @@ class LinkLoadState {
 
   // Per-coflow loads; nullptr for untracked ids.
   const CoflowLoad* find(CoflowId id) const {
-    const auto it = coflows_.find(id);
-    return it == coflows_.end() ? nullptr : &it->second;
+    const std::int32_t* slot = slot_of_.find(id);
+    return slot == nullptr ? nullptr : &slots_[static_cast<std::size_t>(*slot)];
   }
 
   // Per-link live (unfinished) flow totals over all coflows.
@@ -115,7 +125,7 @@ class LinkLoadState {
     return counted_coflows_on_link_;
   }
 
-  std::size_t num_coflows() const { return coflows_.size(); }
+  std::size_t num_coflows() const { return slot_of_.size(); }
   // One past the largest flow id of any coflow added since reset(): a
   // bound on the live ids that sizes id-indexed tables (an Allocation)
   // without a pass over the flows. Departures never lower it.
@@ -136,7 +146,17 @@ class LinkLoadState {
 
   const Fabric* fabric_ = nullptr;
   bool count_finished_flows_;
-  std::unordered_map<CoflowId, CoflowLoad> coflows_;
+  // Tracked coflows: id -> slot. slots_[0, used_) have been handed out
+  // since reset(); free_ lists the ones whose coflow departed since. A
+  // departed coflow's entry stays in its freed slot, rows intact, until
+  // an arrival takes the slot, which is what keeps remove_coflow's
+  // reference valid until then. Slots past used_ keep their run capacity
+  // across reset() for the next rebuild.
+  IdMap<std::int32_t> slot_of_;
+  std::vector<CoflowLoad> slots_;
+  std::size_t used_ = 0;
+  std::vector<std::int32_t> free_;
+  RunSizer row_runs_;  // the slots' row runs
   std::vector<int> live_link_counts_;
   std::vector<int> counted_coflows_on_link_;
   std::size_t id_end_ = 0;

@@ -21,7 +21,7 @@ std::size_t PriorityOrder::position_of(const Entry& e) const {
 void PriorityOrder::add_coflow(CoflowId id, std::int32_t bucket,
                                double arrival_time) {
   const Entry e{bucket, arrival_time, id};
-  NCDRF_CHECK(meta_.emplace(id, e).second,
+  NCDRF_CHECK(meta_.insert(id, e).second,
               "priority order: duplicate coflow arrival");
   entries_.insert(entries_.begin() + static_cast<std::ptrdiff_t>(
                                          position_of(e)),
@@ -29,13 +29,13 @@ void PriorityOrder::add_coflow(CoflowId id, std::int32_t bucket,
 }
 
 void PriorityOrder::remove_coflow(CoflowId id) {
-  const auto it = meta_.find(id);
-  if (it == meta_.end()) return;  // departures may race a reset
-  const std::size_t at = position_of(it->second);
+  const Entry* e = meta_.find(id);
+  if (e == nullptr) return;  // departures may race a reset
+  const std::size_t at = position_of(*e);
   NCDRF_CHECK(at < entries_.size() && entries_[at].id == id,
               "priority order: tracked coflow not at its sorted position");
   entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(at));
-  meta_.erase(it);
+  meta_.erase(id);
 }
 
 void PriorityOrder::reposition(std::size_t entry_index,
@@ -47,38 +47,21 @@ void PriorityOrder::reposition(std::size_t entry_index,
   entries_.insert(entries_.begin() + static_cast<std::ptrdiff_t>(
                                          position_of(e)),
                   e);
-  meta_[e.id] = e;
+  meta_.assign(e.id, e);
   ++repositions_;
 }
 
 void PriorityOrder::index_snapshot(const ScheduleInput& input) {
-  const std::size_t k = input.coflows.size();
-  CoflowId max_id = -1;
-  for (const ActiveCoflow& c : input.coflows) max_id = std::max(max_id, c.id);
-  slots_flat_ =
-      static_cast<std::size_t>(max_id) < 4 * k + 1024;
-  if (slots_flat_) {
-    slot_of_.assign(static_cast<std::size_t>(max_id) + 1, -1);
-    for (std::size_t i = 0; i < k; ++i) {
-      slot_of_[static_cast<std::size_t>(input.coflows[i].id)] =
-          static_cast<std::int32_t>(i);
-    }
-  } else {
-    slot_map_.clear();
-    for (std::size_t i = 0; i < k; ++i) {
-      slot_map_[input.coflows[i].id] = static_cast<std::int32_t>(i);
-    }
+  slot_of_.clear();
+  slot_of_.reserve(input.coflows.size());
+  for (std::size_t i = 0; i < input.coflows.size(); ++i) {
+    slot_of_.assign(input.coflows[i].id, static_cast<std::int32_t>(i));
   }
 }
 
 std::ptrdiff_t PriorityOrder::snapshot_index(CoflowId id) const {
-  if (slots_flat_) {
-    const auto idx = static_cast<std::size_t>(id);
-    if (id < 0 || idx >= slot_of_.size()) return -1;
-    return slot_of_[idx];
-  }
-  const auto it = slot_map_.find(id);
-  return it == slot_map_.end() ? -1 : it->second;
+  const std::int32_t* slot = slot_of_.find(id);
+  return slot == nullptr ? -1 : *slot;
 }
 
 bool PriorityOrder::resolve(const ScheduleInput& input,
@@ -119,8 +102,7 @@ bool PriorityOrder::resolve(const ScheduleInput& input,
   // Escapees are re-found by id so earlier repositions cannot invalidate
   // the positions the detection pass saw.
   for (const CoflowId id : pending_) {
-    const Entry& e = meta_.at(id);
-    const std::size_t at = position_of(e);
+    const std::size_t at = position_of(*meta_.find(id));
     const double attained =
         input.coflows[static_cast<std::size_t>(snapshot_index(id))]
             .attained_bits;
@@ -145,7 +127,7 @@ void PriorityOrder::rebuild(
   for (const ActiveCoflow& c : input.coflows) {
     const Entry e{bucket_of(c), c.arrival_time, c.id};
     entries_.push_back(e);
-    meta_.emplace(c.id, e);
+    meta_.insert(c.id, e);
   }
   NCDRF_CHECK(meta_.size() == entries_.size(),
               "priority order: duplicate coflow ids in snapshot");
@@ -168,9 +150,9 @@ void PriorityOrder::check_consistent(
     NCDRF_CHECK(a.id == b.id && a.bucket == b.bucket &&
                     a.arrival == b.arrival,
                 "priority order: maintained order diverges from fresh sort");
-    const auto it = meta_.find(a.id);
-    NCDRF_CHECK(it != meta_.end() && it->second.bucket == a.bucket &&
-                    it->second.arrival == a.arrival,
+    const Entry* indexed = meta_.find(a.id);
+    NCDRF_CHECK(indexed != nullptr && indexed->bucket == a.bucket &&
+                    indexed->arrival == a.arrival,
                 "priority order: index diverges from entries");
   }
 }

@@ -29,9 +29,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/id_map.h"
 #include "sched/scheduler.h"
 
 namespace ncdrf {
@@ -100,19 +100,15 @@ class PriorityOrder {
   std::size_t position_of(const Entry& e) const;
   void reposition(std::size_t entry_index, std::int32_t new_bucket);
 
-  // Builds slot_of_ (id -> snapshot index); returns false on duplicate or
-  // non-dense-representable ids falling back to the hash path failing.
+  // Refills slot_of_ (id -> snapshot index) from the snapshot.
   void index_snapshot(const ScheduleInput& input);
+  // The snapshot index of `id`, or -1 when the snapshot lacks it.
   std::ptrdiff_t snapshot_index(CoflowId id) const;
 
   std::vector<Entry> entries_;  // sorted by (bucket, arrival, id)
-  std::unordered_map<CoflowId, Entry> meta_;  // id -> its sort key
-
-  // Per-resolve id -> snapshot index map: flat when ids are dense (the
-  // trace generators emit 0-based ids), hash fallback otherwise.
-  std::vector<std::int32_t> slot_of_;
-  std::unordered_map<CoflowId, std::int32_t> slot_map_;
-  bool slots_flat_ = true;
+  IdMap<Entry> meta_;           // id -> its sort key
+  // Per-resolve id -> snapshot index; cleared, not freed, between calls.
+  IdMap<std::int32_t> slot_of_;
   std::vector<CoflowId> pending_;  // coflows needing a re-bucket
   long long repositions_ = 0;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "common/check.h"
 
@@ -9,6 +10,31 @@ namespace ncdrf {
 namespace {
 
 constexpr double kNeverHeard = -std::numeric_limits<double>::infinity();
+
+// Appends an element to `list`, taken from `spare` when it has one, so it
+// brings its vectors' capacity along. The two hold every element made so
+// far, so `spare` is sized with `list` and never grows on its own.
+template <typename T>
+T& append_recycled(std::vector<T>& list, std::vector<T>& spare) {
+  if (spare.empty()) {
+    T& made = list.emplace_back();
+    if (spare.capacity() < list.capacity()) spare.reserve(list.capacity());
+    return made;
+  }
+  list.push_back(std::move(spare.back()));
+  spare.pop_back();
+  return list.back();
+}
+
+// Shrinks `list` to `size` elements, keeping the dropped ones in `spare`.
+template <typename T>
+void truncate_recycled(std::vector<T>& list, std::size_t size,
+                       std::vector<T>& spare) {
+  while (list.size() > size) {
+    spare.push_back(std::move(list.back()));
+    list.pop_back();
+  }
+}
 
 }  // namespace
 
@@ -36,10 +62,10 @@ bool Master::on_register(const RegisterCoflowMsg& msg) {
   // Idempotent: a registration that raced a master restart may arrive
   // twice (the original in flight on the bus plus the client's
   // re-registration). The first one wins — even when the coflow already
-  // retired, which only its flow states remember.
+  // retired, which only its flow ids remember.
   const FlowId probe =
       msg.flows.empty() ? msg.finished_flows.front().id : msg.flows.front().id;
-  if (flow_states_.contains(probe) || active_.contains(msg.coflow)) {
+  if (flow_ref_.contains(probe) || coflow_slot_.contains(msg.coflow)) {
     ++registrations_ignored_;
     return false;
   }
@@ -54,6 +80,7 @@ bool Master::on_register(const RegisterCoflowMsg& msg) {
   };
   for (const auto* flows : {&msg.flows, &msg.finished_flows}) {
     for (const Flow& f : *flows) {
+      NCDRF_CHECK(f.id >= 0, "registered flow with a negative id");
       NCDRF_CHECK(on_fabric(f.src) && on_fabric(f.dst),
                   "registered flow has an endpoint outside the fabric");
       NCDRF_CHECK(f.coflow == msg.coflow,
@@ -64,66 +91,90 @@ bool Master::on_register(const RegisterCoflowMsg& msg) {
     NCDRF_CHECK(!clairvoyant_ || f.size_bits > 0.0,
                 "clairvoyant scheduler needs registered flow sizes");
   }
-  CoflowState state;
-  state.id = msg.coflow;
-  state.arrival_time = msg.arrival_time;
-  state.weight = msg.weight;
-  state.tenant = msg.tenant;
-  state.trace_id = msg.trace_id;
-  state.flows.reserve(msg.flows.size() + msg.finished_flows.size());
-  const auto insert = [&](const Flow& f, bool finished) {
-    // A finished flow was delivered in full: attained equals its
-    // (observable) size.
-    if (flow_states_
-            .try_emplace(f.id, FlowState{f, finished,
-                                         finished ? f.size_bits : 0.0})
-            .second) {
-      state.flows.push_back(f.id);
+  // The slot this coflow takes: the last one freed, else a new one.
+  const auto slot = static_cast<std::int32_t>(
+      free_slots_.empty() ? slots_.size() : free_slots_.back());
+  std::int32_t index = 0;
+  const auto index_flow = [&](const Flow& f) {
+    if (flow_ref_.insert(f.id, FlowRef{slot, index, f.src}).second) {
+      ++index;
       return;
     }
-    for (const FlowId id : state.flows) flow_states_.erase(id);
+    // Undo this call's inserts: the first `index` flows listed.
+    for (const auto* listed : {&msg.flows, &msg.finished_flows}) {
+      for (const Flow& done : *listed) {
+        if (index == 0) break;
+        flow_ref_.erase(done.id);
+        --index;
+      }
+    }
     NCDRF_CHECK(false, "duplicate flow registration");
   };
-  for (const Flow& f : msg.flows) insert(f, false);
-  for (const Flow& f : msg.finished_flows) insert(f, true);
+  for (const Flow& f : msg.flows) index_flow(f);
+  for (const Flow& f : msg.finished_flows) index_flow(f);
+
+  if (free_slots_.empty()) {
+    slots_.emplace_back();
+    // Sized with slots_, so retiring never grows the free list.
+    if (free_slots_.capacity() < slots_.capacity()) {
+      free_slots_.reserve(slots_.capacity());
+    }
+  } else {
+    free_slots_.pop_back();
+  }
+  CoflowState& coflow = slots_[static_cast<std::size_t>(slot)];
+  coflow.id = msg.coflow;
+  coflow.arrival_time = msg.arrival_time;
+  coflow.weight = msg.weight;
+  coflow.tenant = msg.tenant;
+  coflow.trace_id = msg.trace_id;
+  flow_runs_.fit(coflow.flows, msg.flows.size() + msg.finished_flows.size());
+  coflow.flows.clear();
+  // A finished flow was delivered in full: attained equals its
+  // (observable) size.
+  for (const Flow& f : msg.flows) {
+    coflow.flows.push_back(FlowState{f, false, 0.0});
+  }
+  for (const Flow& f : msg.finished_flows) {
+    coflow.flows.push_back(FlowState{f, true, f.size_bits});
+  }
   for (const Flow& f : msg.flows) {
     ++unfinished_at_[static_cast<std::size_t>(f.src)];
   }
-  state.unfinished = static_cast<int>(msg.flows.size());
+  coflow.unfinished = static_cast<int>(msg.flows.size());
+  coflow.in_view = false;
+  coflow.refill = false;
   if (msg.flows.empty()) ++retirable_;  // everything already delivered
   if (msg.trace_id != 0) any_traced_ = true;
-  CoflowState& coflow =
-      active_.emplace(msg.coflow, std::move(state)).first->second;
-  order_.push_back(&coflow);
+  coflow_slot_.insert(msg.coflow, slot);
+  order_.push_back(slot);
   dirty_ = true;
   // With no slave dead every live flow is visible, so the coflow joins
   // the view exactly when it has one.
   if (!incremental_ || msg.flows.empty()) return true;
   coflow.in_view = true;
-  fill_entry(coflow, view_.coflows.emplace_back());
+  ActiveCoflow& entry = append_recycled(view_.coflows, spare_entries_);
+  fill_entry(coflow, entry);
   if (deliver_events_) {
     // A hook that throws leaves the policy's tracked set unknown: the next
     // allocation resets and resyncs it.
     incremental_ = false;
     synced_ = false;
-    scheduler_.on_coflow_arrival(view_.coflows.back());
+    scheduler_.on_coflow_arrival(entry);
     synced_ = true;
     incremental_ = true;
   }
   return true;
 }
 
-bool Master::mark_finished(FlowId flow) {
-  const auto it = flow_states_.find(flow);
-  // Lenient: a stale finish report may reach a freshly restarted master
-  // before the coflow's re-registration does. It is repaired by the
-  // finished_flows list of that re-registration.
-  if (it == flow_states_.end() || it->second.finished) return false;
-  FlowState& fs = it->second;
+bool Master::mark_finished(const FlowRef& ref) {
+  // A tombstone's coflow retired, so the flow finished long ago.
+  if (ref.slot < 0) return false;
+  CoflowState& coflow = slots_[static_cast<std::size_t>(ref.slot)];
+  FlowState& fs = coflow.flows[static_cast<std::size_t>(ref.index)];
+  if (fs.finished) return false;
   fs.finished = true;
   --unfinished_at_[static_cast<std::size_t>(fs.flow.src)];
-  // An unfinished flow state implies its coflow is still active.
-  CoflowState& coflow = active_.at(fs.flow.coflow);
   if (--coflow.unfinished == 0) ++retirable_;
   dirty_ = true;
   if (incremental_) {
@@ -140,17 +191,20 @@ bool Master::mark_finished(FlowId flow) {
 void Master::retire_done_coflows() {
   if (retirable_ == 0) return;
   // One pass over the registration order compacts the view alongside it:
-  // view_.coflows[v] belongs to the v-th coflow that is in_view.
+  // view_.coflows[v] belongs to the v-th coflow that is in_view. Entries
+  // swap rather than move, so the retired ones end up past the kept ones
+  // with their vectors intact.
   std::size_t kept = 0;
   std::size_t v = 0;
   std::size_t kept_view = 0;
-  for (CoflowState* c : order_) {
-    const bool view_entry = incremental_ && c->in_view;
-    if (c->unfinished > 0) {
-      order_[kept++] = c;
+  for (const std::int32_t slot : order_) {
+    CoflowState& c = slots_[static_cast<std::size_t>(slot)];
+    const bool view_entry = incremental_ && c.in_view;
+    if (c.unfinished > 0) {
+      order_[kept++] = slot;
       if (view_entry) {
         if (kept_view != v) {
-          view_.coflows[kept_view] = std::move(view_.coflows[v]);
+          std::swap(view_.coflows[kept_view], view_.coflows[v]);
         }
         ++kept_view;
         ++v;
@@ -159,35 +213,45 @@ void Master::retire_done_coflows() {
     }
     if (view_entry) {
       ++v;
-      if (deliver_events_) scheduler_.on_coflow_departure(c->id);
+      if (deliver_events_) scheduler_.on_coflow_departure(c.id);
     }
-    if (options_.forget_retired) {
-      for (const FlowId f : c->flows) flow_states_.erase(f);
+    // The flow ids go (forget_retired) or stay as tombstones, which keep
+    // a re-registration of this coflow ignored.
+    for (const FlowState& fs : c.flows) {
+      if (options_.forget_retired) {
+        flow_ref_.erase(fs.flow.id);
+      } else {
+        flow_ref_.find(fs.flow.id)->slot = -1;
+      }
     }
-    active_.erase(c->id);
+    coflow_slot_.erase(c.id);
+    free_slots_.push_back(slot);
   }
   order_.resize(kept);
-  if (incremental_) view_.coflows.resize(kept_view);
+  if (incremental_) {
+    truncate_recycled(view_.coflows, kept_view, spare_entries_);
+  }
   retirable_ = 0;
 }
 
 void Master::on_flow_finished(const FlowFinishedMsg& msg) {
-  const auto it = flow_states_.find(msg.flow);
-  if (it != flow_states_.end()) {
-    // A finish report is a sign of life from the flow's source machine.
-    note_alive(it->second.flow.src, msg.finish_time);
-  }
-  if (mark_finished(msg.flow)) retire_done_coflows();
+  // Lenient: a stale finish report may reach a freshly restarted master
+  // before the coflow's re-registration does. It is repaired by the
+  // finished_flows list of that re-registration.
+  const FlowRef* ref = flow_ref_.find(msg.flow);
+  if (ref == nullptr) return;
+  // A finish report is a sign of life from the flow's source machine.
+  note_alive(ref->src, msg.finish_time);
+  if (mark_finished(*ref)) retire_done_coflows();
 }
 
 void Master::on_flows_finished(const std::vector<FlowFinishedMsg>& msgs) {
   bool any = false;
   for (const FlowFinishedMsg& msg : msgs) {
-    const auto it = flow_states_.find(msg.flow);
-    if (it != flow_states_.end()) {
-      note_alive(it->second.flow.src, msg.finish_time);
-    }
-    any = mark_finished(msg.flow) || any;
+    const FlowRef* ref = flow_ref_.find(msg.flow);
+    if (ref == nullptr) continue;
+    note_alive(ref->src, msg.finish_time);
+    any = mark_finished(*ref) || any;
   }
   if (any) retire_done_coflows();
 }
@@ -195,24 +259,22 @@ void Master::on_flows_finished(const std::vector<FlowFinishedMsg>& msgs) {
 void Master::on_heartbeat(const HeartbeatMsg& msg, double now) {
   note_alive(msg.machine, now);
   // Heartbeats refine attained service (and the clairvoyant remaining-size
-  // estimates); they do not by themselves force a reallocation.
+  // estimates); they do not by themselves force a reallocation. A retired
+  // coflow has no view entry to refill, so its tombstones take no report.
   for (const auto& [flow, attained] : msg.attained_bits) {
-    const auto it = flow_states_.find(flow);
-    if (it == flow_states_.end() || !(attained > it->second.attained_bits)) {
-      continue;
-    }
-    it->second.attained_bits = attained;
-    if (incremental_) {
-      // Retired coflows keep their flow states unless forgotten; only an
-      // active coflow has a view entry to refill.
-      const auto c = active_.find(it->second.flow.coflow);
-      if (c != active_.end()) c->second.refill = true;
-    }
+    const FlowRef* ref = flow_ref_.find(flow);
+    if (ref == nullptr || ref->slot < 0) continue;
+    CoflowState& c = slots_[static_cast<std::size_t>(ref->slot)];
+    FlowState& fs = c.flows[static_cast<std::size_t>(ref->index)];
+    if (!(attained > fs.attained_bits)) continue;
+    fs.attained_bits = attained;
+    if (incremental_) c.refill = true;
   }
   // Repair channel for lost FlowFinished reports.
   bool any_finished = false;
   for (const FlowId f : msg.finished_flows) {
-    any_finished = mark_finished(f) || any_finished;
+    const FlowRef* ref = flow_ref_.find(f);
+    any_finished = (ref != nullptr && mark_finished(*ref)) || any_finished;
   }
   if (any_finished) retire_done_coflows();
 }
@@ -257,11 +319,13 @@ void Master::fill_entry(const CoflowState& coflow, ActiveCoflow& entry) {
   entry.arrival_time = coflow.arrival_time;
   entry.tenant = coflow.tenant;
   entry.weight = coflow.weight;
+  const auto live = static_cast<std::size_t>(coflow.unfinished);
+  entry_runs_.fit(entry.flows, live);
+  entry_runs_.fit(entry.finished_flows, coflow.flows.size() - live);
   entry.flows.clear();
   entry.finished_flows.clear();
   double attained = 0.0;
-  for (const FlowId f : coflow.flows) {
-    const FlowState& fs = flow_states_.at(f);
+  for (const FlowState& fs : coflow.flows) {
     attained += fs.attained_bits;
     if (fs.finished) {
       entry.finished_flows.push_back(
@@ -279,7 +343,7 @@ void Master::fill_entry(const CoflowState& coflow, ActiveCoflow& entry) {
       // are dense and grow with history, so the table only grows
       // (geometrically) and keeps what was written at retired ids:
       // zeroing it would make epoch cost grow with history, not load.
-      const auto id = static_cast<std::size_t>(f);
+      const auto id = static_cast<std::size_t>(fs.flow.id);
       if (id >= remaining_estimate_.size()) {
         remaining_estimate_.resize(
             std::max(id + 1, 2 * remaining_estimate_.size()));
@@ -308,14 +372,17 @@ void Master::resync() {
     synced_ = false;
   }
   std::size_t v = 0;
-  for (CoflowState* c : order_) {
-    if (v == view_.coflows.size()) view_.coflows.emplace_back();
-    fill_entry(*c, view_.coflows[v]);
-    c->in_view = !view_.coflows[v].flows.empty();
-    c->refill = false;
-    if (c->in_view) ++v;
+  for (const std::int32_t slot : order_) {
+    CoflowState& c = slots_[static_cast<std::size_t>(slot)];
+    if (v == view_.coflows.size()) {
+      append_recycled(view_.coflows, spare_entries_);
+    }
+    fill_entry(c, view_.coflows[v]);
+    c.in_view = !view_.coflows[v].flows.empty();
+    c.refill = false;
+    if (c.in_view) ++v;
   }
-  view_.coflows.resize(v);
+  truncate_recycled(view_.coflows, v, spare_entries_);
   if (deliver_events_) {
     for (const ActiveCoflow& entry : view_.coflows) {
       scheduler_.on_coflow_arrival(entry);
@@ -334,11 +401,12 @@ const ScheduleInput& Master::compute_allocation(
     resync();
   } else {
     auto entry = view_.coflows.begin();
-    for (CoflowState* c : order_) {
-      if (!c->in_view) continue;
-      if (c->refill) {
-        fill_entry(*c, *entry);
-        c->refill = false;
+    for (const std::int32_t slot : order_) {
+      CoflowState& c = slots_[static_cast<std::size_t>(slot)];
+      if (!c.in_view) continue;
+      if (c.refill) {
+        fill_entry(c, *entry);
+        c.refill = false;
       }
       ++entry;
     }
@@ -359,15 +427,19 @@ const ScheduleInput& Master::compute_allocation(
     }
     live_flows += live;
     slot_of_[m] = static_cast<int>(slots);
-    if (slots == per_slave.size()) per_slave.emplace_back();
+    if (slots == per_slave.size()) append_recycled(per_slave, spare_rates_);
     SlaveRates& sr = per_slave[slots++];
     sr.machine = static_cast<MachineId>(m);
     sr.msg.rates_bps.clear();
     sr.msg.trace_ids.clear();
-    sr.msg.rates_bps.reserve(static_cast<std::size_t>(live));
-    if (any_traced_) sr.msg.trace_ids.reserve(static_cast<std::size_t>(live));
+    // A vector serves whichever machine holds its position, so it grows
+    // to the widest machine seen, not to this one's count.
+    rate_runs_.grow(sr.msg.rates_bps, static_cast<std::size_t>(live));
+    if (any_traced_) {
+      rate_runs_.grow(sr.msg.trace_ids, static_cast<std::size_t>(live));
+    }
   }
-  per_slave.resize(slots);
+  truncate_recycled(per_slave, slots, spare_rates_);
   view_.now = now;
   view_.total_live_flows = live_flows;
   alloc = Allocation();
@@ -375,10 +447,11 @@ const ScheduleInput& Master::compute_allocation(
 
   alloc = scheduler_.allocate(view_);
   clamp_to_capacity(view_, alloc, clamp_scratch_);
-  auto coflow = order_.begin();
+  auto slot = order_.begin();
   for (const ActiveCoflow& entry : view_.coflows) {
-    while (!(*coflow)->in_view) ++coflow;
-    const std::uint64_t trace = (*coflow++)->trace_id;
+    while (!slots_[static_cast<std::size_t>(*slot)].in_view) ++slot;
+    const std::uint64_t trace =
+        slots_[static_cast<std::size_t>(*slot++)].trace_id;
     for (const ActiveFlow& flow : entry.flows) {
       RateUpdateMsg& msg =
           per_slave[static_cast<std::size_t>(

@@ -29,13 +29,26 @@
 // the surviving coflows) until any message from the machine revives it.
 // Registration is idempotent and finish reports are lenient, so replays
 // and stale messages around a master restart are harmless.
+//
+// State is flat and recycled, so a serving master's steady arrival stream
+// allocates nothing per coflow. Each active coflow owns a slot holding its
+// flow states as one contiguous run in registration order; an IdMap finds
+// a coflow's slot by id, and another finds each flow as (slot, index in
+// the run), so a finish report costs one lookup and refilling a view entry
+// walks the run with none. A retired coflow frees its slot, run capacity
+// included, for the next registration; its flows are forgotten or (the
+// default) kept as tombstones for idempotence. View entries and
+// per-machine rate vectors that drop out go to spare pools the next ones
+// are taken from, and RunSizers size every recycled run. Slots are reused
+// in place, so nothing outside the master holds a reference to one.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/bus.h"
+#include "common/id_map.h"
+#include "common/run_sizer.h"
 #include "fabric/fabric.h"
 #include "sched/scheduler.h"
 
@@ -47,12 +60,13 @@ struct MasterOptions {
   // tracking (every slave is trusted forever — the pre-fault behaviour).
   double heartbeat_timeout_s = 0.0;
 
-  // Erase a coflow's per-flow states when it retires. The default keeps
-  // them forever, which is what makes re-registration after a master
-  // restart idempotent even for already-retired coflows; long-running
-  // serving masters (src/serve/) set this so memory stays proportional to
-  // the *active* set under a sustained arrival stream. Only safe when
-  // clients never re-register (the serving front-end's contract).
+  // Forget a coflow's flow ids when it retires. The default keeps each
+  // one forever (as its id and source machine), which is what makes
+  // re-registration after a master restart idempotent even for
+  // already-retired coflows; long-running serving masters (src/serve/) set
+  // this so memory stays proportional to the *active* set under a
+  // sustained arrival stream. Only safe when clients never re-register
+  // (the serving front-end's contract).
   bool forget_retired = false;
 };
 
@@ -80,9 +94,9 @@ class Master {
   // on_register returns false when it ignored the registration (a coflow
   // or first flow id the master already holds; see the class comment). It
   // throws CheckError, and changes nothing, when the weight is not
-  // positive, a flow has an endpoint outside the fabric or carries another
-  // coflow's id, or a flow id is one the master holds or the message
-  // already listed.
+  // positive, a flow has a negative id, an endpoint outside the fabric or
+  // another coflow's id, or a flow id is one the master holds or the
+  // message already listed.
   bool on_register(const RegisterCoflowMsg& msg);
   void on_flow_finished(const FlowFinishedMsg& msg);
   // Batched intake for drivers that learn about many finishes at once (the
@@ -142,8 +156,10 @@ class Master {
   // retired) — the id compute_allocation stamps on the coflow's entries
   // of the RateUpdateMsg trace_ids.
   std::uint64_t trace_id(CoflowId coflow) const {
-    const auto it = active_.find(coflow);
-    return it == active_.end() ? 0 : it->second.trace_id;
+    const std::int32_t* slot = coflow_slot_.find(coflow);
+    return slot == nullptr
+               ? 0
+               : slots_[static_cast<std::size_t>(*slot)].trace_id;
   }
 
  private:
@@ -158,16 +174,27 @@ class Master {
     double weight = 1.0;
     int tenant = -1;
     std::uint64_t trace_id = 0;
-    std::vector<FlowId> flows;
+    // Registration order: the message's flows, then its finished_flows.
+    std::vector<FlowState> flows;
     int unfinished = 0;    // flows not yet marked finished
     bool in_view = false;  // has an entry in view_ (its arrival went out)
     bool refill = false;   // that entry is stale; refill before allocating
   };
+  // Where a registered flow's state is: flows[index] of the coflow in
+  // `slot`. A retired flow kept for idempotence (no forget_retired) is a
+  // tombstone, slot -1; its source machine still takes a late finish
+  // report as a sign of life.
+  struct FlowRef {
+    std::int32_t slot = -1;
+    std::int32_t index = 0;
+    MachineId src = -1;
+  };
 
   // Marks `machine` alive as of `now`, reviving it if quarantined.
   void note_alive(MachineId machine, double now);
-  // Marks one flow finished; returns true if it was a state change.
-  bool mark_finished(FlowId flow);
+  // Marks a registered flow finished; returns true if it was a state
+  // change (false for a tombstone or a flow already finished).
+  bool mark_finished(const FlowRef& ref);
   // Drops coflows whose flows have all finished, with their view entries.
   // O(1) when nothing became retirable since the last sweep — the
   // per-coflow unfinished counters keep epoch cost proportional to load,
@@ -187,11 +214,21 @@ class Master {
   MasterOptions options_;
   const bool deliver_events_;  // scheduler_.wants_events()
   const bool clairvoyant_;     // scheduler_.clairvoyant()
-  // Active coflows by id (node-based, so the states never move) and in
-  // registration order; an entry leaves both when its coflow retires.
-  std::unordered_map<CoflowId, CoflowState> active_;
-  std::vector<CoflowState*> order_;
-  std::unordered_map<FlowId, FlowState> flow_states_;
+  // Coflow slots, recycled: free_slots_ lists the ones whose coflow
+  // retired, and the next registration takes the last of them in place,
+  // so a CoflowState& is valid only until the next on_register (which
+  // may also grow slots_). An active coflow is found by id through
+  // coflow_slot_, and order_ holds the active slots in registration
+  // order; a retiring coflow leaves both. flow_ref_ finds every flow the
+  // master holds, tombstones included.
+  std::vector<CoflowState> slots_;
+  std::vector<std::int32_t> free_slots_;
+  IdMap<std::int32_t> coflow_slot_;
+  std::vector<std::int32_t> order_;
+  IdMap<FlowRef> flow_ref_;
+  RunSizer flow_runs_;   // the slots' flow runs
+  RunSizer entry_runs_;  // view entries' flow lists
+  RunSizer rate_runs_;   // compute_allocation's per-machine vectors
   bool any_traced_ = false;  // keeps the RateUpdate trace ids empty if not
   int retirable_ = 0;  // active coflows whose unfinished count hit zero
   // Per machine: unfinished flows it originates (liveness and the
@@ -215,6 +252,10 @@ class Master {
   // completed resync; a throwing hook clears it).
   bool synced_ = false;
   ScheduleInput view_;
+  // Entries dropped from view_.coflows and from compute_allocation's
+  // per_slave, kept for their vectors' capacity.
+  std::vector<ActiveCoflow> spare_entries_;
+  std::vector<SlaveRates> spare_rates_;
   // Remaining-size estimates (size − attained) for clairvoyant policies,
   // indexed by FlowId; grown geometrically, current at the view's live
   // flows only.

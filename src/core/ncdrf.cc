@@ -149,7 +149,7 @@ void NcDrfScheduler::on_flow_finish(const ActiveFlow& flow) {
 
 void NcDrfScheduler::on_coflow_departure(CoflowId id) {
   if (!event_driven_) return;
-  const LinkLoadState::CoflowLoad cs = track_departure(id);
+  const LinkLoadState::CoflowLoad& cs = track_departure(id);
   if (state_.num_coflows() == 0) {
     // Flush accumulated rounding residue whenever the fabric drains, so
     // drift cannot build up across scheduling epochs.

@@ -61,24 +61,23 @@ void write_snapshot_json(std::ostream& out, const TimeseriesSnapshot& snap) {
       << ",\"t1\":" << snap.t1 << ",\"counters\":{";
   bool first = true;
   for (const auto& [name, w] : snap.counters) {
-    out << (first ? "" : ",") << '"' << name << "\":{\"total\":" << w.total
-        << ",\"delta\":" << w.delta << ",\"rate_per_s\":" << w.rate_per_s
-        << '}';
-    first = false;
+    write_json_key(out, name, first);
+    out << "{\"total\":" << w.total << ",\"delta\":" << w.delta
+        << ",\"rate_per_s\":" << w.rate_per_s << '}';
   }
   out << "},\"gauges\":{";
   first = true;
   for (const auto& [name, value] : snap.gauges) {
-    out << (first ? "" : ",") << '"' << name << "\":" << value;
-    first = false;
+    write_json_key(out, name, first);
+    out << value;
   }
   out << "},\"histograms\":{";
   first = true;
   for (const auto& [name, w] : snap.histograms) {
-    out << (first ? "" : ",") << '"' << name << "\":{\"count\":" << w.count
-        << ",\"sum\":" << w.sum << ",\"p50\":" << w.q.p50
-        << ",\"p95\":" << w.q.p95 << ",\"p99\":" << w.q.p99 << '}';
-    first = false;
+    write_json_key(out, name, first);
+    out << "{\"count\":" << w.count << ",\"sum\":" << w.sum
+        << ",\"p50\":" << w.q.p50 << ",\"p95\":" << w.q.p95
+        << ",\"p99\":" << w.q.p99 << '}';
   }
   out << "}}\n";
   out.flags(flags);

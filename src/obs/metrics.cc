@@ -6,8 +6,23 @@
 #include <ostream>
 
 #include "common/check.h"
+#include "common/json.h"
 
 namespace ncdrf::obs {
+
+void Gauge::set(double v) {
+  NCDRF_CHECK(std::isfinite(v), "gauge set to a non-finite value");
+  value = v;
+}
+
+void write_json_key(std::ostream& out, std::string_view name, bool& first) {
+  std::string key;
+  if (!first) key += ',';
+  append_json_string(key, name);
+  key += ':';
+  out << key;
+  first = false;
+}
 
 Histogram::Histogram(double min_value, double max_value, double growth)
     : min_value_(min_value), growth_(growth), log_growth_(std::log(growth)) {
@@ -118,25 +133,25 @@ void MetricsRegistry::write_json(std::ostream& out) const {
   out << "{\"counters\":{";
   bool first = true;
   for (const auto& [name, c] : counters_) {
-    out << (first ? "" : ",") << '"' << name << "\":" << c.value;
-    first = false;
+    write_json_key(out, name, first);
+    out << c.value;
   }
   out << "},\"gauges\":{";
   first = true;
   for (const auto& [name, g] : gauges_) {
-    out << (first ? "" : ",") << '"' << name << "\":" << g.value;
-    first = false;
+    write_json_key(out, name, first);
+    out << g.value;
   }
   out << "},\"histograms\":{";
   first = true;
   for (const auto& [name, h] : histograms_) {
-    out << (first ? "" : ",") << '"' << name << "\":{\"count\":" << h.count()
+    write_json_key(out, name, first);
+    out << "{\"count\":" << h.count()
         << ",\"sum\":" << h.sum() << ",\"min\":" << h.min()
         << ",\"max\":" << h.max() << ",\"mean\":" << h.mean()
         << ",\"p50\":" << h.percentile(50.0)
         << ",\"p95\":" << h.percentile(95.0)
         << ",\"p99\":" << h.percentile(99.0) << '}';
-    first = false;
   }
   out << "}}\n";
   out.flags(flags);

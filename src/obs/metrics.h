@@ -16,6 +16,7 @@
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ncdrf::obs {
@@ -25,9 +26,11 @@ struct Counter {
   void inc(long long delta = 1) { value += delta; }
 };
 
+// Every gauge is a count or a sum of seconds, and JSON has no infinity or
+// NaN, so set() throws CheckError on a non-finite value.
 struct Gauge {
   double value = 0.0;
-  void set(double v) { value = v; }
+  void set(double v);
 };
 
 // The three standard latency quantiles, computed in one bucket walk.
@@ -129,5 +132,10 @@ class MetricsRegistry {
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
 };
+
+// Writes `name` as a JSON object key, escaped and followed by its colon,
+// after a comma unless `first`, which it clears. Shared by the registry's
+// and the timeseries snapshots' writers.
+void write_json_key(std::ostream& out, std::string_view name, bool& first);
 
 }  // namespace ncdrf::obs

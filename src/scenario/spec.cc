@@ -1,6 +1,7 @@
 #include "scenario/spec.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -24,10 +25,12 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // JSON writer. Doubles print with %.17g so every value round-trips exactly,
-// which is what makes parse_scenario(to_json(spec)) an identity.
+// which is what makes parse_scenario(to_json(spec)) an identity. JSON has
+// no infinity or NaN, so a spec holding one cannot be written.
 // ---------------------------------------------------------------------------
 
 std::string fmt(double v) {
+  NCDRF_CHECK(std::isfinite(v), "scenario json: non-finite number");
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;

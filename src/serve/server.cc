@@ -102,12 +102,14 @@ ServeFront::~ServeFront() = default;
 
 void ServeFront::retire_due(double now) {
   finish_batch_.clear();
-  while (!departures_.empty() && departures_.top().time <= now) {
-    const Departure& due = departures_.top();
+  while (live_departures_ > 0 && departures_.front().time <= now) {
+    const auto live = departures_.begin() +
+                      static_cast<std::ptrdiff_t>(live_departures_);
+    std::pop_heap(departures_.begin(), live, departs_later);
+    const Departure& due = departures_[--live_departures_];
     for (const FlowId f : due.flows) {
       finish_batch_.push_back(FlowFinishedMsg{f, due.coflow, now});
     }
-    departures_.pop();
   }
   // One bulk report per epoch: the master marks every flow, then sweeps
   // its retirement list once (per-finish sweeps made epoch cost quadratic
@@ -115,7 +117,7 @@ void ServeFront::retire_due(double now) {
   if (!finish_batch_.empty()) master_.on_flows_finished(finish_batch_);
 }
 
-int ServeFront::admit_batch(double now) {
+int ServeFront::admit_batch(double now, std::exception_ptr& rejected) {
   batch_.clear();
   // Round-robin, one submission per client per round: the batch cap can
   // never starve a client behind another's burst.
@@ -134,29 +136,51 @@ int ServeFront::admit_batch(double now) {
   }
   const std::size_t drained = batch_.size();
   std::size_t registered = 0;  // batch_[0, registered) were registered
+  RegisterCoflowMsg& msg = register_msg_;
   for (std::size_t i = 0; i < drained; ++i) {
     Submission& s = batch_[i];
-    RegisterCoflowMsg msg;
+    // The ground-truth bits, summed before registration strips the sizes.
+    double bits = 0.0;
+    if (admit_hook) {
+      for (const Flow& f : s.flows) bits += f.size_bits;
+    }
     msg.coflow = s.coflow;
     msg.arrival_time = s.submit_time;
     msg.weight = s.weight;
     msg.tenant = s.client;  // client attribution for tenant-aware policies
     msg.sizes_known = s.sizes_known;
     msg.trace_id = s.trace_id;
-    msg.flows = s.flows;
+    msg.flows.swap(s.flows);
     if (!s.sizes_known) {
       // The non-clairvoyant contract: sizes never cross the register API.
       for (Flow& f : msg.flows) f.size_bits = 0.0;
     }
     // A registration the master ignored (it reuses an id the master
     // holds) is still admitted and counted, but nothing of it is
-    // scheduled: it gets no departure and no causal stage.
-    const bool applied = master_.on_register(msg);
+    // scheduled: it gets no departure and no causal stage. One the master
+    // rejected changed nothing there; it is dropped uncounted, and the
+    // rest of the batch still registers.
+    bool applied = false;
+    try {
+      applied = master_.on_register(msg);
+    } catch (const CheckError&) {
+      msg.flows.swap(s.flows);
+      if (!rejected) rejected = std::current_exception();
+      continue;
+    }
+    msg.flows.swap(s.flows);
     if (applied && s.lifetime_s > 0.0) {
-      Departure departure{now + s.lifetime_s, s.coflow, {}};
-      departure.flows.reserve(s.flows.size());
+      if (live_departures_ == departures_.size()) departures_.emplace_back();
+      Departure& departure = departures_[live_departures_++];
+      departure.time = now + s.lifetime_s;
+      departure.coflow = s.coflow;
+      departure_runs_.fit(departure.flows, s.flows.size());
+      departure.flows.clear();
       for (const Flow& f : s.flows) departure.flows.push_back(f.id);
-      departures_.push(std::move(departure));
+      std::push_heap(departures_.begin(),
+                     departures_.begin() +
+                         static_cast<std::ptrdiff_t>(live_departures_),
+                     departs_later);
     }
     ++admitted_;
     if (admitted_counter_ != nullptr) admitted_counter_->inc();
@@ -170,8 +194,6 @@ int ServeFront::admit_batch(double now) {
                         s.coflow, static_cast<std::int64_t>(s.trace_id),
                         elapsed(now, s.submit_time));
     if (admit_hook) {
-      double bits = 0.0;
-      for (const Flow& f : s.flows) bits += f.size_bits;
       admit_hook(AdmitRecord{s.coflow, s.client, s.submit_time, now,
                              static_cast<int>(s.flows.size()), bits});
     }
@@ -257,6 +279,9 @@ void ServeFront::push_rates(double now) {
     // Classify the fresh vector against the last pushed one: with both
     // sorted by flow id and equally long, the flow sets agree exactly
     // when every position pairs the same flow.
+    // Pushed vectors trade places with this scratch, so it grows to the
+    // widest machine seen: the rotation then never reallocates.
+    pushed_runs_.grow(fresh_sorted_, sr.msg.rates_bps.size());
     fresh_sorted_.assign(sr.msg.rates_bps.begin(), sr.msg.rates_bps.end());
     if (!std::is_sorted(fresh_sorted_.begin(), fresh_sorted_.end(),
                         by_flow)) {
@@ -384,7 +409,8 @@ void ServeFront::step_epoch(double now) {
     options_.tracer->begin(obs::EventKind::kServeEpoch, now);
   }
   retire_due(now);
-  const int admitted_now = admit_batch(now);
+  std::exception_ptr rejected;
+  const int admitted_now = admit_batch(now, rejected);
   shed_over_watermark(now);
   reallocate(now);
   push_rates(now);
@@ -407,6 +433,7 @@ void ServeFront::step_epoch(double now) {
     prev_shed_total_ = shed_total;
     options_.flight->observe_epoch(now, vitals);
   }
+  if (rejected) std::rethrow_exception(rejected);
 }
 
 double ServeFront::run(scenario::WorkloadSource& source) {

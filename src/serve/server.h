@@ -35,14 +35,15 @@
 #pragma once
 
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "cluster/master.h"
+#include "common/run_sizer.h"
 #include "serve/submission_queue.h"
 
 namespace ncdrf::obs {
@@ -131,7 +132,10 @@ class ServeFront {
   // Runs one epoch at time `now` (monotone across calls): retires due
   // coflows, sheds above the watermark, admits one round-robin batch,
   // reallocates if the view changed, pushes rate vectors within the
-  // staleness budget, and publishes backpressure levels.
+  // staleness budget, and publishes backpressure levels. A submission the
+  // master rejects (its registration throws CheckError) is dropped, not
+  // admitted; the rest of the batch is registered and the epoch runs to
+  // its end, then the first such error is rethrown.
   void step_epoch(double now);
 
   // Virtual-time driver over the scenario spine: pulls due submissions
@@ -183,13 +187,14 @@ class ServeFront {
   // A modeled departure: the flows the front-end reports finished at
   // `time`. Only a registered coflow with a lifetime gets one.
   struct Departure {
-    double time;
-    CoflowId coflow;
+    double time = 0.0;
+    CoflowId coflow = -1;
     std::vector<FlowId> flows;
-    bool operator>(const Departure& other) const {
-      return time != other.time ? time > other.time : coflow > other.coflow;
-    }
   };
+  // Heap order: the earliest departure (then the lowest coflow id) on top.
+  static bool departs_later(const Departure& a, const Departure& b) {
+    return a.time != b.time ? a.time > b.time : a.coflow > b.coflow;
+  }
   // Last vector pushed to one slave, plus the staleness clock. The rates
   // are kept sorted by flow id, so a fresh vector (sorted the same way)
   // is classified against them by one merge walk; empty = nothing pushed
@@ -204,7 +209,9 @@ class ServeFront {
 
   void retire_due(double now);
   void shed_over_watermark(double now);
-  int admit_batch(double now);
+  // Drains and registers one batch; returns the number drained. The first
+  // registration error, if any, lands in `rejected`.
+  int admit_batch(double now, std::exception_ptr& rejected);
   void reallocate(double now);
   void push_rates(double now);
   void publish_level(double now);
@@ -219,8 +226,14 @@ class ServeFront {
   // stage is recorded from this batch.
   std::vector<Submission> batch_;
   std::vector<FlowFinishedMsg> finish_batch_;  // retire scratch, ditto
-  std::priority_queue<Departure, std::vector<Departure>, std::greater<>>
-      departures_;
+  // Registration scratch: a submission's flows are swapped in for the
+  // call and back out after it.
+  RegisterCoflowMsg register_msg_;
+  // departures_[0, live_departures_) is a heap under departs_later; the
+  // popped entries past it keep their flow lists' capacity for reuse.
+  std::vector<Departure> departures_;
+  std::size_t live_departures_ = 0;
+  RunSizer departure_runs_;
 
   Allocation alloc_;
   std::vector<SlaveRates> per_slave_;  // scratch, reused every epoch
@@ -228,6 +241,7 @@ class ServeFront {
   // The slave being classified, its fresh vector sorted by flow id; swapped
   // into its PushState when pushed.
   std::vector<std::pair<FlowId, double>> fresh_sorted_;
+  RunSizer pushed_runs_;  // fresh_sorted_ and the PushState vectors
 
   Backpressure level_ = Backpressure::kOk;
   long long epochs_ = 0;

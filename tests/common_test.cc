@@ -1,14 +1,20 @@
 // Unit tests for src/common: checks, units, RNG, statistics, the JSON
-// reader and writer.
+// reader and writer, and the id map.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <climits>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
+#include "common/id_map.h"
 #include "common/json.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -364,6 +370,131 @@ TEST(Json, WideObjectParsesFast) {
   EXPECT_EQ(v.members.size(), 50000u);
   EXPECT_LT(elapsed.count(), 1.0);
   EXPECT_NE(parse_json(text + ",\"key0\":0}", &v), "");
+}
+
+// Every key of `keys` reads the same from the map as from the reference,
+// and the table stays a power of two at most half full.
+void expect_same(const IdMap<std::int64_t>& map,
+                 const std::unordered_map<int, std::int64_t>& ref,
+                 const std::vector<int>& keys) {
+  ASSERT_EQ(map.size(), ref.size());
+  const std::size_t cap = map.capacity();
+  EXPECT_TRUE(cap == 0 || (cap & (cap - 1)) == 0) << cap;
+  EXPECT_LE(2 * map.size(), cap);
+  for (const int key : keys) {
+    const auto it = ref.find(key);
+    const std::int64_t* got = map.find(key);
+    ASSERT_EQ(got != nullptr, it != ref.end()) << "key " << key;
+    if (got != nullptr) {
+      EXPECT_EQ(*got, it->second) << "key " << key;
+    }
+  }
+}
+
+// Seeded differential test against std::unordered_map: random mixes of
+// inserts, assigns, finds, erases and clears over dense, strided and
+// colliding key sets.
+TEST(IdMapTest, MatchesUnorderedMapUnderRandomOperations) {
+  // Ids whose home is the last cell of the 16-cell table: they share one
+  // probe run that wraps past the table's end, and each doubling keeps
+  // them in the top cells, so erases land inside long wrapped runs.
+  std::vector<int> colliding = {0, INT_MAX};
+  for (int id = 1; colliding.size() < 40; ++id) {
+    if ((IdMap<std::int64_t>::mix(id) >> 60) == 15) colliding.push_back(id);
+  }
+  std::vector<int> dense;
+  std::vector<int> strided;
+  for (int i = 0; i < 300; ++i) {
+    dense.push_back(i);
+    strided.push_back(i * (1 << 21));
+  }
+  dense.push_back(INT_MAX);
+  const std::vector<std::pair<const char*, std::vector<int>>> key_sets = {
+      {"dense", dense}, {"strided", strided}, {"colliding", colliding}};
+  for (const auto& [name, keys] : key_sets) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(std::string(name) + " seed " + std::to_string(seed));
+      Rng rng(seed);
+      IdMap<std::int64_t> map;
+      std::unordered_map<int, std::int64_t> ref;
+      for (int op = 0; op < 20000; ++op) {
+        const int key = keys[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(keys.size()) - 1))];
+        const auto value = static_cast<std::int64_t>(rng.next_u64() >> 1);
+        const std::int64_t kind = rng.uniform_int(0, 999);
+        if (kind < 450) {
+          const auto [stored, inserted] = map.insert(key, value);
+          const auto [it, ref_inserted] = ref.try_emplace(key, value);
+          ASSERT_EQ(inserted, ref_inserted);
+          ASSERT_EQ(*stored, it->second);
+        } else if (kind < 500) {
+          map.assign(key, value);
+          ref[key] = value;
+        } else if (kind < 700) {
+          ASSERT_EQ(map.contains(key), ref.contains(key));
+        } else if (kind < 998) {
+          ASSERT_EQ(map.erase(key), ref.erase(key) == 1);
+        } else {
+          map.clear();
+          ref.clear();
+        }
+        if (op % 500 == 0) expect_same(map, ref, keys);
+      }
+      expect_same(map, ref, keys);
+      // Drain in a random order: every erase shifts a run back.
+      std::vector<int> order = keys;
+      for (std::size_t i = order.size(); i > 1; --i) {
+        std::swap(order[i - 1],
+                  order[static_cast<std::size_t>(rng.uniform_int(
+                      0, static_cast<std::int64_t>(i) - 1))]);
+      }
+      for (const int key : order) {
+        ASSERT_EQ(map.erase(key), ref.erase(key) == 1);
+        if (ref.size() % 8 == 0) expect_same(map, ref, keys);
+      }
+      EXPECT_TRUE(map.empty());
+    }
+  }
+}
+
+TEST(IdMapTest, GrowsAcrossRehashesAndKeepsItsTableOnClear) {
+  IdMap<std::int64_t> map;
+  std::unordered_map<int, std::int64_t> ref;
+  std::vector<int> keys;
+  std::size_t last_capacity = 0;
+  int rehashes = 0;
+  for (int i = 0; i < 5000; ++i) {
+    const int key = i % 2 == 0 ? i : INT_MAX - i;
+    keys.push_back(key);
+    ASSERT_TRUE(map.insert(key, 3 * i).second);
+    ref[key] = 3 * i;
+    if (map.capacity() != last_capacity) {
+      ++rehashes;
+      last_capacity = map.capacity();
+      expect_same(map, ref, keys);
+    }
+  }
+  EXPECT_GE(rehashes, 9);  // 16 cells up to 16384
+  expect_same(map, ref, keys);
+  const std::size_t capacity = map.capacity();
+  map.clear();
+  EXPECT_TRUE(map.empty());
+  EXPECT_EQ(map.capacity(), capacity);
+  for (const int key : keys) EXPECT_FALSE(map.contains(key));
+  map.reserve(10000);
+  EXPECT_GE(map.capacity(), 20000u);
+}
+
+TEST(IdMapTest, NegativeIdsAreNeverStored) {
+  IdMap<std::int64_t> map;
+  EXPECT_EQ(map.find(-1), nullptr);
+  EXPECT_FALSE(map.erase(-1));
+  EXPECT_THROW(map.insert(-1, 0), CheckError);
+  EXPECT_THROW(map.insert(INT_MIN, 0), CheckError);
+  EXPECT_TRUE(map.insert(0, 7).second);
+  EXPECT_EQ(map.find(-1), nullptr);
+  EXPECT_EQ(*map.find(0), 7);
+  EXPECT_EQ(map.size(), 1u);
 }
 
 }  // namespace

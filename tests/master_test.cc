@@ -678,6 +678,53 @@ TEST(EventFedMaster, ServeFrontSurvivesRejectedRegistration) {
   }
 }
 
+// A rejected registration drops its own submission only: the rest of the
+// drained batch registers, and the epoch allocates and pushes before the
+// error reaches the caller, so every valid coflow's first rates still go
+// out in the epoch that admits it.
+TEST(EventFedMaster, RejectedRegistrationKeepsTheRestOfItsBatch) {
+  const Fabric fabric(4, gbps(1.0));
+  const auto sched = make_scheduler("ncdrf");
+  serve::ServeOptions options;
+  options.epoch_s = 1e-3;
+  serve::ServeFront front(fabric, *sched, 1, options);
+  std::vector<CoflowId> admitted;
+  front.admit_hook = [&](const serve::AdmitRecord& record) {
+    admitted.push_back(record.coflow);
+  };
+  serve::Submission first;
+  first.coflow = 0;
+  first.lifetime_s = 5e-3;
+  first.flows = {Flow{0, 0, 0, 1, 1e9}};
+  serve::Submission bad = first;
+  bad.coflow = 1;
+  bad.flows = {Flow{1, 1, 2, 4, 1e9}};  // dst 4 is off the fabric
+  serve::Submission last = first;
+  last.coflow = 2;
+  last.flows = {Flow{2, 2, 3, 0, 1e9}, Flow{3, 2, 1, 2, 1e9}};
+  for (const serve::Submission& s : {first, bad, last}) {
+    ASSERT_TRUE(front.queue(0).try_enqueue(s));
+  }
+  EXPECT_THROW(front.step_epoch(0.0), CheckError);
+  EXPECT_EQ(admitted, (std::vector<CoflowId>{0, 2}));
+  EXPECT_EQ(front.admitted(), 2);
+  EXPECT_EQ(front.backlog(), 0u);
+  EXPECT_EQ(front.allocations(), 1);
+  EXPECT_EQ(front.master().active_coflows(), 2);
+  EXPECT_EQ(front.master().registrations_ignored(), 0);
+  for (const FlowId f : {0, 2, 3}) {
+    EXPECT_GT(front.last_allocation().rate(f), 0.0) << "flow " << f;
+  }
+  EXPECT_EQ(front.rate_pushes(), 3);  // machines 0, 1 and 3 originate
+
+  // The next epoch has nothing to reject and nothing new to allocate.
+  front.step_epoch(1e-3);
+  EXPECT_EQ(front.allocations(), 1);
+  EXPECT_EQ(front.master().active_coflows(), 2);
+  front.step_epoch(5e-3);  // past both dwells
+  EXPECT_EQ(front.master().active_coflows(), 0);
+}
+
 // Epochs through a serving front-end allocate from hook-maintained state
 // only: no kernel-backed policy ever rebuilds from a snapshot.
 TEST(EventFedMaster, ServeFrontNeverRebuildsKernelPolicies) {

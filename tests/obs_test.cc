@@ -3,6 +3,7 @@
 // schema validators, and the streaming Theorem 1 fairness auditor.
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -12,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/check.h"
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "core/ncdrf.h"
@@ -223,6 +226,45 @@ TEST(MetricsRegistryTest, JsonExportIsDeterministicAndValid) {
   EXPECT_NE(first.find("\"b.count\":3"), std::string::npos);
   // Sorted keys: a.count precedes b.count.
   EXPECT_LT(first.find("a.count"), first.find("b.count"));
+}
+
+// Instrument names go through the JSON string escaper, so any name (a
+// client tag in quotes, a backslash, a control byte) yields JSON the
+// metrics validator accepts and reads back under the same name.
+TEST(MetricsRegistryTest, JsonExportEscapesNames) {
+  const std::string name = "serve.client \"7\" \\ \x01\n";
+  obs::MetricsRegistry registry;
+  registry.counter(name).inc(2);
+  registry.gauge(name).set(1.5);
+  registry.histogram(name).observe(1e-3);
+  std::ostringstream out;
+  registry.write_json(out);
+  EXPECT_EQ(obs::validate_metrics_json(out.str()), "");
+  JsonValue root;
+  ASSERT_EQ(parse_json(out.str(), &root), "");
+  for (const char* kind : {"counters", "gauges", "histograms"}) {
+    const JsonValue* section = root.find(kind);
+    ASSERT_NE(section, nullptr) << kind;
+    ASSERT_EQ(section->members.size(), 1u) << kind;
+    EXPECT_EQ(section->members[0].first, name) << kind;
+  }
+}
+
+// JSON has no infinity or NaN, so a gauge refuses one rather than write
+// a registry no reader accepts.
+TEST(MetricsRegistryTest, GaugeRejectsNonFiniteValues) {
+  obs::MetricsRegistry registry;
+  obs::Gauge& gauge = registry.gauge("g");
+  gauge.set(2.0);
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(gauge.set(bad), CheckError) << bad;
+  }
+  EXPECT_EQ(gauge.value, 2.0);
+  std::ostringstream out;
+  registry.write_json(out);
+  EXPECT_EQ(obs::validate_metrics_json(out.str()), "");
 }
 
 TEST(MetricsRegistryTest, InstrumentReferencesAreStable) {

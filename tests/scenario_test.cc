@@ -269,6 +269,21 @@ TEST(ScenarioSpecJson, NamesWithControlCharactersRoundTrip) {
   EXPECT_EQ(decoded.policy, "A");
 }
 
+// JSON has no infinity or NaN: a spec holding one does not serialize.
+TEST(ScenarioSpecJson, NonFiniteNumbersDoNotSerialize) {
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    ScenarioSpec spec = small_spec("ncdrf", 5);
+    spec.link_gbps = bad;
+    EXPECT_THROW(to_json(spec), CheckError) << bad;
+    spec = small_spec("ncdrf", 5);
+    spec.workload.mean_flow_bits = bad;
+    EXPECT_THROW(to_json(spec), CheckError) << bad;
+  }
+  EXPECT_EQ(obs::validate_json(to_json(small_spec("ncdrf", 5))), "");
+}
+
 // The spec reader and the artifact validators share one JSON reader, so
 // input that is not JSON fails both, a repeated key included.
 TEST(ScenarioSpecJson, RejectsWhatValidateJsonRejects) {

@@ -17,6 +17,7 @@
 #include "cluster/bus.h"
 #include "cluster/faults.h"
 #include "cluster/slave.h"
+#include "common/json.h"
 #include "common/units.h"
 #include "core/registry.h"
 #include "obs/exporter.h"
@@ -173,6 +174,29 @@ TEST(SnapshotStreamTest, PollAppendsOnlyNewWindows) {
   EXPECT_EQ(stream.poll(ts), 2);
   EXPECT_EQ(stream.windows_written(), 3);
   EXPECT_EQ(obs::validate_timeseries_ndjson(out.str()), "");
+}
+
+TEST(SnapshotStreamTest, EscapesInstrumentNames) {
+  const std::string name = "serve.client \"7\" \\ \x01";
+  MetricsRegistry metrics;
+  metrics.counter(name).inc(3);
+  metrics.gauge(name).set(4.0);
+  metrics.histogram(name).observe(2e-3);
+  Timeseries ts(&metrics, TimeseriesOptions{1.0, 8});
+  ts.sample(0.0);
+  ts.sample(1.0);
+  std::ostringstream out;
+  obs::SnapshotStream stream(out);
+  EXPECT_EQ(stream.poll(ts), 1);
+  EXPECT_EQ(obs::validate_timeseries_ndjson(out.str()), "");
+  JsonValue root;
+  ASSERT_EQ(parse_json(out.str().substr(0, out.str().size() - 1), &root), "");
+  for (const char* kind : {"counters", "gauges", "histograms"}) {
+    const JsonValue* section = root.find(kind);
+    ASSERT_NE(section, nullptr) << kind;
+    ASSERT_EQ(section->members.size(), 1u) << kind;
+    EXPECT_EQ(section->members[0].first, name) << kind;
+  }
 }
 
 // --- Prometheus exposition -------------------------------------------------
